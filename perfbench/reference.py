@@ -88,6 +88,20 @@ def check_rank_report(reported: dict, expected_hr: float, expected_ndcg: float,
     return problems
 
 
+def check_attack_report(report: dict, attributes) -> list[str]:
+    """One entry per attacked attribute, each BAcc and micro-F1 a finite percentage."""
+    problems = []
+    if set(report) - {"averages"} != set(attributes):
+        problems.append(f"attack report names {sorted(set(report) - {'averages'})}, "
+                        f"expected {sorted(attributes)}")
+    for name in attributes:
+        for key in ("bacc_mean", "f1_mean"):
+            value = report.get(name, {}).get(key)
+            if not (isinstance(value, float) and 0.0 <= value <= 100.0):
+                problems.append(f"attack on {name!r}: {key} {value!r} is not a percentage")
+    return problems
+
+
 def check_simplex(alpha, k: int) -> list[str]:
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (k,):

@@ -131,6 +131,9 @@ def verify(wl: workloads.Workload, result: dict) -> list[str]:
                          reference.check_combination(release, components, report["alpha"])]
 
     audit = result["audit"]
+    for key, attrs in (("attack", audit["request"]), ("traced_attack", ["gender"])):
+        if key in audit:
+            problems += [f"audit: {p}" for p in reference.check_attack_report(audit[key], attrs)]
     if "rec" in audit:
         pairs = np.load(result["dataset"])
         release = reference.read_store_file(audit["release"])
@@ -182,16 +185,23 @@ def pass_wall(result: dict) -> float:
             + result["audit"].get("seconds", 0.0))
 
 
-def per_layer(traced: dict, untraced_wall: float) -> dict:
+def per_layer(traced: dict, untraced_wall: float) -> tuple[dict, list[str]]:
+    """Every declared per-layer metric, and the names of those the trace could not measure.
+
+    The result line must hold every metric of the manifest, so an absent one
+    (a wrapped name gone from the program, a hook whose function changed
+    shape) reads 0 there and is named in the summary line and on stderr.
+    """
     units = declared_units("per_layer")
     values = dict(traced["layers"])
     values["trace.overhead_pct"] = 100.0 * (pass_wall(traced) / untraced_wall - 1.0)
     absent = sorted(k for k in units if values.get(k) is None)
     if absent or traced["trace_missing"]:
-        print(f"perfbench: absent per-layer metrics {absent}; names no longer in the program "
-              f"{traced['trace_missing']}", file=sys.stderr)
-    return {k: {"value": values[k], "unit": u}
-            for k, u in units.items() if values.get(k) is not None}
+        print(f"perfbench: absent per-layer metrics {absent} read 0; names no longer in the "
+              f"program {traced['trace_missing']}", file=sys.stderr)
+    metrics = {k: {"value": 0 if values.get(k) is None else values[k], "unit": u}
+               for k, u in units.items()}
+    return metrics, absent
 
 
 def measure(wl: workloads.Workload, args, work: Path) -> int:
@@ -230,8 +240,9 @@ def measure(wl: workloads.Workload, args, work: Path) -> int:
     if args.trace:
         untraced_wall = (pass_wall(results[0][0]) if len(results) == 2
                          else json.loads(untraced_record.read_text())["pass_wall_s"])
-        metrics = per_layer(final, untraced_wall)
+        metrics, absent = per_layer(final, untraced_wall)
     else:
+        absent = []
         metrics = end_to_end(wl, final, gen_s, peak_rss_mb)
         if not problems:
             untraced_record.write_text(
@@ -242,7 +253,9 @@ def measure(wl: workloads.Workload, args, work: Path) -> int:
                for traced, (r, _) in zip(passes, results)]
     print(json.dumps({"workload": wl.name, "seed": args.seed, "machine": machine_facts(),
                       "passes": summary, "rounds": final["rounds"],
-                      "audit": final["audit"].get("attack"), "trained": final.get("trained")}))
+                      "audit": final["audit"].get("attack"),
+                      "traced_attack": final["audit"].get("traced_attack"),
+                      "trained": final.get("trained"), "absent": absent}))
     print(json.dumps({"correct": not problems, "attempted": final["attempted"],
                       "failed": final["failed"], "metrics": metrics}))
     return 0 if not problems else 1

@@ -98,6 +98,16 @@ def test_simplex_check(alpha, k, ok):
     assert (reference.check_simplex(alpha, k) == []) == ok
 
 
+def test_attack_report_check():
+    good = {"gender": {"bacc_mean": 61.5, "f1_mean": 70.2}, "averages": {"bacc": 61.5}}
+    assert reference.check_attack_report(good, ["gender"]) == []
+    assert reference.check_attack_report(good, ["gender", "age"])
+    assert reference.check_attack_report({**good, "gender": {"bacc_mean": 100.5,
+                                                             "f1_mean": 70.2}}, ["gender"])
+    assert reference.check_attack_report({**good, "gender": {"bacc_mean": float("nan"),
+                                                             "f1_mean": 70.2}}, ["gender"])
+
+
 def test_store_round_trip_and_flipped_byte(tmp_path):
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((20, 5))
@@ -182,3 +192,19 @@ def test_tracer_reports_missing_names_as_absent():
     assert any("fit_variational_step" in m for m in tracer.missing)
     assert metrics["mi.fit_step_calls"] is None and metrics["mi.fit_step_s"] is None
     assert metrics["calibration.iterations"] == 7
+
+
+def test_result_line_holds_every_per_layer_metric():
+    import run
+
+    declared = run.declared_units("per_layer")
+    traced = {"layers": {"cf.batches": 12, "evaluation.attack_s": None},
+              "trace_missing": ["evaluation.attack (evaluation.attack_metrics)"],
+              "setup": [{"load_s": 1.0, "split_s": 1.0, "bin_s": 0.0}], "train_s": 2.0,
+              "requests": [], "audit": {"seconds": 1.0}}
+    metrics, absent = run.per_layer(traced, untraced_wall=4.0)
+    assert set(metrics) == set(declared)
+    assert all(m["unit"] == declared[k] for k, m in metrics.items())
+    assert metrics["cf.batches"]["value"] == 12
+    assert metrics["evaluation.attack_s"]["value"] == 0 and "evaluation.attack_s" in absent
+    assert metrics["trace.overhead_pct"]["value"] == pytest.approx(25.0)

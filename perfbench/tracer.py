@@ -5,8 +5,8 @@ callers look up (``mi.fit_variational_step``, ``nets.forward``,
 ``calibration.optimizer_step``, ``scenario.calibrate``,
 ``EmbeddingStore.get`` ...). Spans (name, start, end, parent) stay in memory
 and are written out when the run ends. A name that no longer exists is
-recorded as missing; every metric built on it is reported absent and the run
-goes on.
+recorded as missing; every metric built on it is reported absent (``None``
+here; ``run.py`` prints it as 0 and names it) and the run goes on.
 """
 
 from __future__ import annotations

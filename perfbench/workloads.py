@@ -29,7 +29,12 @@ class Workload:
     audit_request: int  # index of the request whose release is audited
     attack_iterations: int  # attacker max_iterations; 0 skips the attack
     setup_reps: int  # setups per untraced run; setup_s takes their median
+    audit_reps: int = 1  # audits per untraced run; audit_s takes their median
     quality: bool = False  # the traced run gates the paper's gender/NDCG properties
+    # attacker max_iterations of a gender attack the traced run makes after its
+    # audit, for a workload whose audit skips the attack, so that every attack
+    # metric is measured; 0 makes none
+    traced_attack_iterations: int = 0
 
 
 def _stream_script() -> tuple:
@@ -88,7 +93,9 @@ WORKLOADS = {
                     ("age", "occupation")),
             audit_request=0,
             attack_iterations=0,
+            traced_attack_iterations=3,
             setup_reps=3,
+            audit_reps=3,
         ),
     )
 }
