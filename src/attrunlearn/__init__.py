@@ -54,6 +54,7 @@ from .mi import (
     DiscreteJoint,
     MIEstimate,
     VariationalModel,
+    contrastive_step,
     discrete_mi_oracle,
     estimate_vclub,
     fit_variational_step,
@@ -67,6 +68,7 @@ from .nets import (
     OptimizerState,
     backward,
     forward,
+    forward_backward,
     gradient_check,
     init_network,
     log_softmax_nll,

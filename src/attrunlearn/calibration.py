@@ -2,7 +2,9 @@
 
 Alternates one classifier likelihood-ascent step with one embedding descent
 step on the contrastive MI estimate, projecting back onto the Frobenius
-epsilon-ball around the original embeddings after every update.
+epsilon-ball around the original embeddings after every update. With the
+default one ascent step, an iteration runs the classifier forward twice: once
+in :func:`mi.fit_variational_step` and once in :func:`mi.contrastive_step`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,18 @@ from . import mi
 from .nets import OptimizerState, optimizer_step
 
 
+class HashedConfig:
+    """Mixin for config dataclasses whose fields key cached results."""
+
+    def hash(self) -> str:
+        """First 16 hex digits of SHA-256 over the fields as sorted-key JSON."""
+        return hashlib.sha256(
+            json.dumps(asdict(self), sort_keys=True).encode()
+        ).hexdigest()[:16]
+
+
 @dataclass
-class CalibrationConfig:
+class CalibrationConfig(HashedConfig):
     eps_ratio: float = 0.5  # epsilon = eps_ratio * n_users
     iterations: int = 2000
     batch_size: int = 256
@@ -29,20 +41,12 @@ class CalibrationConfig:
     inner_steps: int = 1  # classifier steps per embedding step
     hidden: int = 100
     seed: int = 0
-    plateau_stop: bool = False
-    plateau_window: int = 200
-    plateau_tol: float = 1e-4
 
     def __post_init__(self):
         if self.eps_ratio < 0:
             raise ValueError("eps_ratio must be >= 0")
         if self.iterations < 0 or self.batch_size < 2 or self.inner_steps < 1:
             raise ValueError("bad iterations/batch_size/inner_steps")
-
-    def hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()[:16]
 
 
 @dataclass
@@ -97,9 +101,9 @@ def calibrate(
     """Remove one attribute's information from a copy of U0.
 
     Per iteration: sample a batch, take ``inner_steps`` classifier ascent
-    steps, evaluate the batch MI estimate, descend the sampled embedding rows
-    through Adam, then project onto the epsilon-ball. Never mutates U0 or the
-    labels.
+    steps, evaluate the batch MI estimate and its row gradient in one
+    contrastive step, descend the sampled embedding rows through Adam, then
+    project onto the epsilon-ball. Never mutates U0 or the labels.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(U0):
@@ -129,10 +133,9 @@ def calibrate(
         batch, batch_labels = U[idx], labels[idx]
         for _ in range(config.inner_steps):
             nll = mi.fit_variational_step(model, batch, batch_labels)
-        estimate = mi.estimate_vclub(model, batch, batch_labels).value
+        estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels)
         if not np.isfinite(estimate):
             raise CalibrationError(f"non-finite MI estimate for {attribute!r}", mi_trace)
-        grad_rows = mi.vclub_input_gradient(model, batch, batch_labels)
         full_grad = np.zeros_like(U)
         full_grad[idx] = grad_rows
         optimizer_step(emb_opt, [U], [full_grad])
@@ -140,11 +143,6 @@ def calibrate(
         mi_trace.append(estimate)
         nll_trace.append(nll)
         dist_trace.append(float(np.linalg.norm(U - U0)))
-        if config.plateau_stop and len(mi_trace) >= 2 * config.plateau_window:
-            recent = np.mean(mi_trace[-config.plateau_window :])
-            prev = np.mean(mi_trace[-2 * config.plateau_window : -config.plateau_window])
-            if abs(prev - recent) < config.plateau_tol:
-                break
 
     return CalibrationResult(
         embeddings=U,

@@ -64,14 +64,23 @@ def pairwise_loss(
     return float(np.logaddexp(0.0, -x).mean())
 
 
+def _membership_bitmap(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """Packed bit set of (user, item) pairs: bit u*n_items+i, N*M/8 bytes."""
+    keys = pairs[:, 0].astype(np.int64) * n_items + pairs[:, 1]
+    bits = np.zeros((n_users * n_items + 7) // 8, dtype=np.uint8)
+    np.bitwise_or.at(bits, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+    return bits
+
+
 def _sample_negatives(
-    rng: np.random.Generator, users: np.ndarray, n_items: int, positives: np.ndarray | None
+    rng: np.random.Generator, users: np.ndarray, n_items: int, positives: np.ndarray
 ) -> np.ndarray:
+    """Uniform item draws, redrawn (up to 20 rounds) where ``positives`` has the pair."""
     neg = rng.integers(0, n_items, size=len(users))
-    if positives is None:
-        return neg
+    base = users.astype(np.int64) * n_items
     for _ in range(20):
-        bad = positives[users, neg]
+        keys = base + neg
+        bad = ((positives[keys >> 3] >> (keys & 7)) & 1).astype(bool)
         if not bad.any():
             break
         neg[bad] = rng.integers(0, n_items, size=int(bad.sum()))
@@ -92,10 +101,7 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
     user_emb = 0.1 * rng.standard_normal((n, d))
     item_emb = 0.1 * rng.standard_normal((m, d))
 
-    positives = None
-    if n * m <= 50_000_000:
-        positives = np.zeros((n, m), dtype=bool)
-        positives[dataset.train_pairs[:, 0], dataset.train_pairs[:, 1]] = True
+    positives = _membership_bitmap(dataset.train_pairs, n, m)
 
     diag_idx = rng.integers(0, len(dataset.train_pairs), size=min(4096, len(dataset.train_pairs)))
     diag_pairs = dataset.train_pairs[diag_idx]

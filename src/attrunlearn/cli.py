@@ -72,11 +72,6 @@ def _load_embeddings(config: Config, arg, model) -> np.ndarray:
     return read_embedding_file(arg)
 
 
-def _entry(table, name):
-    a = table.get(name)
-    return (a.name, a.labels, a.cardinality)
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -110,23 +105,23 @@ def _dispatch(args) -> int:
     model = ensure_model(config, dataset)
 
     if args.command == "calibrate":
-        entry = _entry(table, args.attr)
+        attr = table.get(args.attr)
         result = calibrate(
-            model.user_embeddings, entry[1], config.calibration,
-            attribute=entry[0], cardinality=entry[2],
+            model.user_embeddings, attr.labels, config.calibration,
+            attribute=attr.name, cardinality=attr.cardinality,
         )
         store = EmbeddingStore(config.resolved_store_dir())
         store.put(
-            store.key(dataset.fingerprint(), entry[0], config.calibration.hash()),
+            store.key(dataset.fingerprint(), attr.name, config.calibration.hash()),
             result.embeddings,
         )
         if args.trace_csv:
             trace_to_csv(result, args.trace_csv)
         _write_report(
             config,
-            f"calibrate_{entry[0]}.json",
+            f"calibrate_{attr.name}.json",
             {
-                "attribute": entry[0],
+                "attribute": attr.name,
                 "final_mi": float(result.mi_trace[-1]) if len(result.mi_trace) else None,
                 "final_distance": float(result.distance_trace[-1])
                 if len(result.distance_trace)
@@ -170,7 +165,7 @@ def _dispatch(args) -> int:
         names = [n.strip() for n in args.attrs.split(",") if n.strip()]
         report = bound_check(
             model.user_embeddings,
-            [_entry(table, n) for n in names],
+            table.entries(names),
             config.calibration,
             config.combination,
             parallelism=config.workers,

@@ -8,19 +8,24 @@ and the empirical two-step-vs-joint gap check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import mi
-from .calibration import CalibrationConfig, CalibrationResult, _attribute_seed, project_ball
+from .calibration import (
+    CalibrationConfig,
+    CalibrationResult,
+    HashedConfig,
+    _attribute_seed,
+    project_ball,
+)
 from .nets import OptimizerState, optimizer_step
 
 
 @dataclass
-class CombinationConfig:
+class CombinationConfig(HashedConfig):
     iterations: int = 500
     batch_size: int = 256
     step_size: float = 1e-2  # plain gradient step on the weights
@@ -31,11 +36,6 @@ class CombinationConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 2 or self.step_size <= 0:
             raise ValueError("bad combination config")
-
-    def hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()[:16]
 
 
 @dataclass
@@ -119,23 +119,51 @@ def summed_estimate_and_alpha_gradient(
     component_rows: list[np.ndarray],
     batch_labels: list[np.ndarray],
     alpha: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Batch value of the summed MI estimate at U(alpha) and its alpha gradient.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch value of the summed MI estimate at U(alpha), its alpha gradient,
+    and its gradient with respect to the combined batch rows.
 
-    The gradient chains the estimate's embedding gradient into each component:
-    d/d alpha_i = sum over batch rows of <dI/dU(alpha), U_i>. Classifiers are
-    not touched.
+    The alpha gradient chains the estimate's embedding gradient into each
+    component: d/d alpha_i = sum over batch rows of <dI/dU(alpha), U_i>.
+    Classifiers are not touched. A non-finite estimate raises RuntimeError
+    naming the model's attribute.
     """
     k = len(component_rows)
     batch = sum(w * r for w, r in zip(alpha, component_rows))
     total = 0.0
     grad_alpha = np.zeros(k)
+    grad_batch = np.zeros_like(batch)
     for t, model in enumerate(models):
-        total += mi.estimate_vclub(model, batch, batch_labels[t]).value
-        grad_rows = mi.vclub_input_gradient(model, batch, batch_labels[t])
+        estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels[t])
+        if not np.isfinite(estimate):
+            raise RuntimeError(f"non-finite MI estimate for {model.attribute!r}")
+        total += estimate
+        grad_batch += grad_rows
         for i in range(k):
             grad_alpha[i] += float(np.sum(grad_rows * component_rows[i]))
-    return total, grad_alpha
+    return total, grad_alpha, grad_batch
+
+
+def _classifiers(d: int, names: list[str], cards: list[int], config, tag: str) -> list:
+    """One fresh classifier per attribute, seeded from (config.seed, tag:name)."""
+    return [
+        mi.make_variational_model(
+            d, card, seed=_attribute_seed(config.seed, f"{tag}:{name}"),
+            hidden=config.hidden, learning_rate=config.variational_lr, attribute=name,
+        )
+        for name, card in zip(names, cards)
+    ]
+
+
+def _weight_step(models: list, mats: list, labels: list, alpha: np.ndarray, idx: np.ndarray):
+    """One ascent step per classifier on the combined rows ``idx``, then the
+    summed estimate there and its alpha and batch-row gradients."""
+    rows = [m[idx] for m in mats]
+    batch = sum(w * r for w, r in zip(alpha, rows))
+    batch_labels = [lab[idx] for lab in labels]
+    for model, lab in zip(models, batch_labels):
+        mi.fit_variational_step(model, batch, lab)
+    return summed_estimate_and_alpha_gradient(models, rows, batch_labels, alpha)
 
 
 def optimize_weights(
@@ -164,27 +192,13 @@ def optimize_weights(
     k = len(mats)
 
     rng = np.random.default_rng(_attribute_seed(config.seed, "|".join(names)))
-    models = [
-        mi.make_variational_model(
-            d, cards[t], seed=_attribute_seed(config.seed, f"phi:{names[t]}"),
-            hidden=config.hidden, learning_rate=config.variational_lr, attribute=names[t],
-        )
-        for t in range(k)
-    ]
+    models = _classifiers(d, names, cards, config, "phi")
     alpha = np.full(k, 1.0 / k)
     sampler = mi.BatchSampler(n, config.batch_size, rng) if config.iterations else None
 
     mi_trace, alpha_trace = [], []
     for _ in range(config.iterations):
-        idx = sampler.next_batch()
-        rows = [m[idx] for m in mats]
-        batch = sum(w * r for w, r in zip(alpha, rows))
-        batch_labels = [labels[t][idx] for t in range(k)]
-        for t in range(k):
-            mi.fit_variational_step(models[t], batch, batch_labels[t])
-        total, grad_alpha = summed_estimate_and_alpha_gradient(
-            models, rows, batch_labels, alpha
-        )
+        total, grad_alpha, _ = _weight_step(models, mats, labels, alpha, sampler.next_batch())
         alpha = project_simplex_softmax(alpha - config.step_size * grad_alpha)
         mi_trace.append(total)
         alpha_trace.append(alpha.copy())
@@ -285,13 +299,7 @@ def joint_unlearn(
         iterations = k * config.iterations
 
     rng = np.random.default_rng(_attribute_seed(config.seed, "joint:" + "|".join(names)))
-    models = [
-        mi.make_variational_model(
-            d, cards[t], seed=_attribute_seed(config.seed, f"joint-phi:{names[t]}"),
-            hidden=config.hidden, learning_rate=config.variational_lr, attribute=names[t],
-        )
-        for t in range(k)
-    ]
+    models = _classifiers(d, names, cards, config, "joint-phi")
     mats = [U0.copy() for _ in range(k)]
     opts = [OptimizerState(learning_rate=config.step_size) for _ in range(k)]
     alpha = np.full(k, 1.0 / k)
@@ -299,20 +307,7 @@ def joint_unlearn(
 
     for _ in range(iterations):
         idx = sampler.next_batch()
-        rows = [m[idx] for m in mats]
-        batch = sum(w * r for w, r in zip(alpha, rows))
-        grad_batch = np.zeros_like(batch)
-        grad_alpha = np.zeros(k)
-        for t in range(k):
-            batch_labels = labels[t][idx]
-            mi.fit_variational_step(models[t], batch, batch_labels)
-            estimate = mi.estimate_vclub(models[t], batch, batch_labels).value
-            if not np.isfinite(estimate):
-                raise RuntimeError(f"non-finite MI estimate for {names[t]!r}")
-            grad_rows = mi.vclub_input_gradient(models[t], batch, batch_labels)
-            grad_batch += grad_rows
-            for i in range(k):
-                grad_alpha[i] += float(np.sum(grad_rows * rows[i]))
+        _, grad_alpha, grad_batch = _weight_step(models, mats, labels, alpha, idx)
         for i in range(k):
             full = np.zeros_like(mats[i])
             full[idx] = alpha[i] * grad_batch

@@ -68,6 +68,11 @@ class AttributeTable:
     def subset(self, names) -> "AttributeTable":
         return AttributeTable([self.get(n) for n in names], self.user_ids)
 
+    def entries(self, names=None) -> list[tuple[str, np.ndarray, int]]:
+        """(name, labels, cardinality) per attribute (all, or ``names`` in order)."""
+        chosen = self.attributes if names is None else [self.get(n) for n in names]
+        return [(a.name, a.labels, a.cardinality) for a in chosen]
+
     def align(self, dataset: "InteractionDataset") -> "AttributeTable":
         """Reorder label rows to the dataset's dense user index."""
         pos = {int(u): i for i, u in enumerate(self.user_ids)}

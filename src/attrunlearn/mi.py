@@ -1,9 +1,14 @@
 """Classifier-based mutual information machinery.
 
 A small dense classifier models the conditional q(label | embedding); its
-in-batch contrastive log-ratio gives an MI surrogate that can be both
+in-batch contrastive log-ratio (vCLUB) gives an MI surrogate that can be both
 estimated and differentiated with respect to the embeddings. An exact
 discrete-table MI oracle is included for verification.
+
+Every loop that descends the estimate alternates two calls, each one forward
+pass of the classifier: :func:`fit_variational_step` (likelihood ascent on the
+classifier) and :func:`contrastive_step` (the batch estimate and its gradient
+with respect to the embedding rows).
 """
 
 from __future__ import annotations
@@ -76,11 +81,14 @@ def fit_variational_step(
     """One likelihood-ascent step on the classifier; returns the NLL before the step."""
     if len(embeddings) == 0:
         raise ValueError("empty batch")
-    logits = nets.forward(model.network, embeddings)
-    loss, logit_grads = nets.log_softmax_nll(logits, labels)
-    if not np.isfinite(loss):
-        raise RuntimeError(f"non-finite classifier loss {loss}")
-    bundle = nets.backward(model.network, embeddings, logit_grads)
+
+    def nll_head(logits):
+        loss, logit_grads = nets.log_softmax_nll(logits, labels)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite classifier loss {loss}")
+        return loss, logit_grads
+
+    loss, bundle = nets.forward_backward(model.network, embeddings, nll_head)
     nets.optimizer_step(model.optimizer, model.network.parameters(), bundle.param_grads)
     return loss
 
@@ -124,19 +132,32 @@ def estimate_vclub(
     return MIEstimate(vclub_from_logprobs(logp, labels), len(embeddings), iteration)
 
 
+def contrastive_step(
+    model: VariationalModel, embeddings: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Batch estimate and its gradient with respect to each embedding row.
+
+    One forward pass serves both; the classifier is not touched. The value is
+    bitwise the one :func:`estimate_vclub` returns for the same batch.
+    """
+    if len(embeddings) < 2:
+        raise ValueError("need a batch of at least 2 rows")
+
+    def vclub_head(logits):
+        logp = nets.log_softmax(logits)
+        g = vclub_logprob_gradient(logp.shape, labels)
+        # through log-softmax: dz = g - softmax * rowsum(g)
+        return vclub_from_logprobs(logp, labels), g - np.exp(logp) * g.sum(axis=1, keepdims=True)
+
+    estimate, bundle = nets.forward_backward(model.network, embeddings, vclub_head)
+    return estimate, bundle.input_grads
+
+
 def vclub_input_gradient(
     model: VariationalModel, embeddings: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Gradient of the batch estimate with respect to each embedding row."""
-    if len(embeddings) < 2:
-        raise ValueError("need a batch of at least 2 rows")
-    logits = nets.forward(model.network, embeddings)
-    logp = nets.log_softmax(logits)
-    g = vclub_logprob_gradient(logp.shape, labels)
-    # through log-softmax: dz = g - softmax * rowsum(g)
-    logit_grads = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
-    bundle = nets.backward(model.network, embeddings, logit_grads)
-    return bundle.input_grads
+    return contrastive_step(model, embeddings, labels)[1]
 
 
 def discrete_mi_oracle(joint: DiscreteJoint | np.ndarray) -> float:

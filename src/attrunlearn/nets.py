@@ -4,16 +4,18 @@ Everything is float64 numpy. The networks here are small fixed MLPs (the
 attribute classifiers used elsewhere in the package); the backward pass is
 hand-written and verifiable against central differences via
 :func:`gradient_check`.
+
+Training loops call :func:`forward_backward`, which backpropagates through the
+activations of the one forward pass that produced the logits. :func:`backward`
+takes a batch rather than activations, so it runs the forward pass again.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-
-SNAPSHOT_MAGIC = b"LEGONN01"
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -160,9 +162,18 @@ def log_softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     return loss, grad
 
 
-def backward(net: DenseNetwork, batch: np.ndarray, logit_grads: np.ndarray) -> GradientBundle:
-    """Backpropagate upstream logit gradients to parameter and input gradients."""
+def forward_backward(
+    net: DenseNetwork,
+    batch: np.ndarray,
+    head: Callable[[np.ndarray], tuple[object, np.ndarray]],
+) -> tuple[object, GradientBundle]:
+    """One forward pass, then backpropagation of the gradients ``head`` puts on it.
+
+    ``head(logits)`` returns ``(value, logit_grads)``; the result is that value
+    and the parameter and input gradients of ``logit_grads``.
+    """
     logits, inputs, preacts = _forward_cached(net, batch)
+    value, logit_grads = head(logits)
     if logit_grads.shape != logits.shape:
         raise ValueError(f"upstream shape {logit_grads.shape} != {logits.shape}")
     delta = np.asarray(logit_grads, dtype=np.float64)
@@ -174,7 +185,17 @@ def backward(net: DenseNetwork, batch: np.ndarray, logit_grads: np.ndarray) -> G
         param_grads[2 * i] = delta.T @ inputs[i]
         param_grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ layer.weights
-    return GradientBundle(param_grads=param_grads, input_grads=delta)
+    return value, GradientBundle(param_grads=param_grads, input_grads=delta)
+
+
+def backward(net: DenseNetwork, batch: np.ndarray, logit_grads: np.ndarray) -> GradientBundle:
+    """Backpropagate upstream logit gradients to parameter and input gradients.
+
+    Recomputes the forward pass; loops that already hold the logits use
+    :func:`forward_backward`.
+    """
+    _, bundle = forward_backward(net, batch, lambda logits: (None, logit_grads))
+    return bundle
 
 
 def optimizer_step(
@@ -260,50 +281,5 @@ def gradient_check(net: DenseNetwork, batch: np.ndarray, labels: np.ndarray) -> 
     if net.n_parameters() > _MAX_CHECK_PARAMS:
         raise ValueError(f"net too large for FD check ({net.n_parameters()} params)")
     batch = np.array(batch, dtype=np.float64)
-    _, logit_grads = log_softmax_nll(forward(net, batch), labels)
-    bundle = backward(net, batch, logit_grads)
+    _, bundle = forward_backward(net, batch, lambda logits: log_softmax_nll(logits, labels))
     return fd_relative_error(net, batch, labels, bundle)
-
-
-def save_network(net: DenseNetwork, path) -> None:
-    """Snapshot: magic, then per layer u32 rows, u32 cols, f64 weights (row-major), f64 biases."""
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        for layer in net.layers:
-            rows, cols = layer.weights.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.biases, dtype="<f8").tobytes())
-
-
-def load_network(path) -> DenseNetwork:
-    """Read a snapshot back, parsing layer blocks until EOF.
-
-    Activations are reconstructed as ReLU for hidden layers, identity for the
-    final layer (the only two architectures this package produces).
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        layers = []
-        while True:
-            header = fh.read(8)
-            if not header:
-                break
-            if len(header) != 8:
-                raise ValueError("truncated layer header")
-            rows, cols = struct.unpack("<II", header)
-            wbytes = fh.read(8 * rows * cols)
-            bbytes = fh.read(8 * rows)
-            if len(wbytes) != 8 * rows * cols or len(bbytes) != 8 * rows:
-                raise ValueError("truncated layer payload")
-            weights = np.frombuffer(wbytes, dtype="<f8").reshape(rows, cols).copy()
-            biases = np.frombuffer(bbytes, dtype="<f8").copy()
-            layers.append(Layer(weights, biases, RELU))
-    if not layers:
-        raise ValueError("snapshot contains no layers")
-    for layer in layers[:-1]:
-        layer.activation = RELU
-    layers[-1].activation = IDENTITY
-    return DenseNetwork(layers)

@@ -13,7 +13,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,22 @@ class ScenarioScript:
             json.dump({"schema_version": SCHEMA_VERSION, "requests": self.requests}, fh, indent=2)
 
 
+_DATASET_KEYS = {"format": "dataset_format", "ratings_path": "ratings_path",
+                 "users_path": "users_path"}  # key in the "dataset" section -> Config field
+_SECTIONS = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
+             "combination": CombinationConfig, "attack": AttackSettings}
+
+
+def _checked(where: str, values, known: set) -> dict:
+    """``values`` if it is an object whose keys are all in ``known``."""
+    if not isinstance(values, dict):
+        raise ValueError(f"config {where} must be an object")
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    return values
+
+
 @dataclass
 class Config:
     dataset_format: str = "ml-100k"  # or "ml-1m"
@@ -106,43 +122,25 @@ class Config:
     def from_json(cls, path) -> "Config":
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema {payload.get('schema_version')}")
-        cfg = cls(
-            dataset_format=payload.get("dataset", {}).get("format", "ml-100k"),
-            ratings_path=payload.get("dataset", {}).get("ratings_path", ""),
-            users_path=payload.get("dataset", {}).get("users_path", ""),
-            cf=CFTrainConfig(**payload.get("cf", {})),
-            calibration=CalibrationConfig(**payload.get("calibration", {})),
-            combination=CombinationConfig(**payload.get("combination", {})),
-            attack=AttackSettings(**payload.get("attack", {})),
-            output_dir=payload.get("output_dir", "out"),
-            store_dir=payload.get("store_dir", ""),
-            workers=payload.get("workers", 2),
-            evaluate=payload.get("evaluate", True),
-            rec_k=payload.get("rec_k", 10),
-        )
+        version = payload.get("schema_version") if isinstance(payload, dict) else None
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported config schema {version}")
+        values = {k: v for k, v in payload.items() if k != "schema_version"}
+        top_level = ({f.name for f in fields(cls)} - set(_DATASET_KEYS.values())) | {"dataset"}
+        _checked("the top level", values, top_level)
+        dataset = _checked("section 'dataset'", values.pop("dataset", {}), set(_DATASET_KEYS))
+        for name, section_cls in _SECTIONS.items():
+            if name in values:
+                known = {f.name for f in fields(section_cls)}
+                values[name] = section_cls(**_checked(f"section {name!r}", values[name], known))
+        cfg = cls(**values, **{_DATASET_KEYS[k]: v for k, v in dataset.items()})
         cfg.validate()
         return cfg
 
     def to_json(self, path) -> None:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "dataset": {
-                "format": self.dataset_format,
-                "ratings_path": self.ratings_path,
-                "users_path": self.users_path,
-            },
-            "cf": asdict(self.cf),
-            "calibration": asdict(self.calibration),
-            "combination": asdict(self.combination),
-            "attack": asdict(self.attack),
-            "output_dir": self.output_dir,
-            "store_dir": self.store_dir,
-            "workers": self.workers,
-            "evaluate": self.evaluate,
-            "rec_k": self.rec_k,
-        }
+        payload = asdict(self)
+        payload["dataset"] = {key: payload.pop(name) for key, name in _DATASET_KEYS.items()}
+        payload["schema_version"] = SCHEMA_VERSION
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -206,11 +204,6 @@ def dp_baseline(U0: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
     return U0 + noise_scale * rng.standard_normal(U0.shape)
 
 
-def _entry(table: AttributeTable, name: str):
-    a = table.get(name)
-    return (a.name, a.labels, a.cardinality)
-
-
 def run_scenario(
     config: Config,
     script: ScenarioScript,
@@ -256,9 +249,9 @@ def run_scenario(
             to_run.append(name)
 
         def calibrate_one(name: str) -> tuple[str, CalibrationResult]:
-            entry = _entry(attributes, name)
+            a = attributes.get(name)
             result = calibrate(
-                U0, entry[1], config.calibration, attribute=name, cardinality=entry[2]
+                U0, a.labels, config.calibration, attribute=name, cardinality=a.cardinality
             )
             return name, result
 
@@ -290,7 +283,7 @@ def run_scenario(
                 )
         t0 = time.perf_counter()
         combo = optimize_weights(
-            calibrated, [_entry(attributes, n) for n in request], config.combination
+            calibrated, attributes.entries(request), config.combination
         )
         t_comb = time.perf_counter() - t0
         unlearn_seconds = time.perf_counter() - t_unlearn

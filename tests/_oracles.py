@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from attrunlearn import mi, nets
+from attrunlearn import calibration, mi, nets
 from attrunlearn.evaluation import bacc
 
 
@@ -43,6 +43,50 @@ def kink_free_mi_instance(rng, d=3, p=2, rows=5, hidden=6):
             if len(np.unique(labels)) >= 2:
                 return model, batch, labels
     raise AssertionError("no kink-free instance found")
+
+
+def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
+    """Calibration loop built from the public recomputing primitives.
+
+    Every classifier step and every row gradient calls ``nets.forward`` and
+    then ``nets.backward`` (which runs the forward pass again), and the value
+    comes from ``mi.estimate_vclub``: five forward passes per iteration with
+    one ascent step. Returns (embeddings, mi, nll and distance traces).
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if cardinality is None:
+        cardinality = int(labels.max()) + 1
+    n, d = U0.shape
+    seed = calibration._attribute_seed(config.seed, attribute)
+    rng = np.random.default_rng(seed)
+    model = mi.make_variational_model(
+        d, cardinality, seed=seed + 1, hidden=config.hidden,
+        learning_rate=config.variational_lr,
+    )
+    net = model.network
+    U = U0.copy()
+    emb_opt = nets.OptimizerState(learning_rate=config.step_size)
+    sampler = mi.BatchSampler(n, config.batch_size, rng)
+    mis, nlls, dists = [], [], []
+    for _ in range(config.iterations):
+        idx = sampler.next_batch()
+        batch, y = U[idx], labels[idx]
+        for _ in range(config.inner_steps):
+            nll, logit_grads = nets.log_softmax_nll(nets.forward(net, batch), y)
+            grads = nets.backward(net, batch, logit_grads).param_grads
+            nets.optimizer_step(model.optimizer, net.parameters(), grads)
+        estimate = mi.estimate_vclub(model, batch, y).value
+        logp = nets.log_softmax(nets.forward(net, batch))
+        g = mi.vclub_logprob_gradient(logp.shape, y)
+        logit_grads = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
+        full = np.zeros_like(U)
+        full[idx] = nets.backward(net, batch, logit_grads).input_grads
+        nets.optimizer_step(emb_opt, [U], [full])
+        U = calibration.project_ball(U, U0, config.eps_ratio * n)
+        mis.append(estimate)
+        nlls.append(nll)
+        dists.append(float(np.linalg.norm(U - U0)))
+    return U, np.array(mis), np.array(nlls), np.array(dists)
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

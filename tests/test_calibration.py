@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from attrunlearn import calibration, data, evaluation, mi
+from _oracles import reference_calibrate
+from attrunlearn import calibration, data, evaluation, nets
 from attrunlearn.calibration import CalibrationConfig, CalibrationError, project_ball
 
 
@@ -132,10 +133,10 @@ class TestCalibrate:
         U0 = rng.normal(size=(16, 4))
         labels = np.array([0, 1] * 8)
 
-        def bad_estimate(model, embeddings, batch_labels, iteration=0):
-            return mi.MIEstimate(float("nan"), len(embeddings))
+        def bad_step(model, embeddings, batch_labels):
+            return float("nan"), np.zeros_like(embeddings)
 
-        monkeypatch.setattr(calibration.mi, "estimate_vclub", bad_estimate)
+        monkeypatch.setattr(calibration.mi, "contrastive_step", bad_step)
         with pytest.raises(CalibrationError, match="non-finite"):
             calibration.calibrate(U0, labels, CalibrationConfig(iterations=5, batch_size=8))
 
@@ -181,6 +182,37 @@ class TestCalibrateMany:
         U0, entries = multi
         with pytest.raises(ValueError, match="duplicate"):
             calibration.calibrate_many(U0, [entries[0], entries[0]], CalibrationConfig())
+
+
+class TestFusedPath:
+    @pytest.mark.parametrize("inner_steps", [1, 2])
+    def test_matches_recomputing_reference_bitwise(self, multi, inner_steps):
+        U0, entries = multi
+        name, labels, card = entries[1]
+        cfg = CalibrationConfig(
+            eps_ratio=0.002, iterations=40, batch_size=32, variational_lr=1e-2,
+            inner_steps=inner_steps, seed=13,
+        )
+        res = calibration.calibrate(U0, labels, cfg, attribute=name, cardinality=card)
+        assert res.distance_trace.max() == pytest.approx(cfg.eps_ratio * len(U0))
+        ref = reference_calibrate(U0, labels, cfg, attribute=name, cardinality=card)
+        got = (res.embeddings, res.mi_trace, res.nll_trace, res.distance_trace)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_two_classifier_forward_passes_per_iteration(self, multi, monkeypatch):
+        U0, entries = multi
+        real = nets._forward_cached
+        calls = []
+
+        def counting(net, batch):
+            calls.append(len(batch))
+            return real(net, batch)
+
+        monkeypatch.setattr(nets, "_forward_cached", counting)
+        cfg = CalibrationConfig(iterations=3, batch_size=32, seed=14)
+        calibration.calibrate(U0, entries[0][1], cfg)
+        assert calls == [32] * (2 * cfg.iterations)
 
 
 class TestPlumbing:

@@ -62,6 +62,35 @@ class TestTraining:
         with pytest.raises(ValueError):
             cf.train_cf(dataset, cf.CFTrainConfig())
 
+    def test_negatives_filtered_above_fifty_million_cells(self, monkeypatch):
+        n, m = 50_001, 1000  # 50,001,000 cells
+        rng = np.random.default_rng(3)
+        items = (rng.integers(0, m, n)[:, None] + 37 * np.arange(5)) % m
+        users = np.repeat(np.arange(n), 5)
+        train_pairs = np.column_stack([users, items.ravel()])
+        dataset = data.InteractionDataset(
+            n_users=n,
+            n_items=m,
+            train_pairs=train_pairs,
+            test_items=np.zeros(n, dtype=np.int64),
+            train_item_sets=[set(row) for row in items.tolist()],
+            user_ids=np.arange(n),
+            item_ids=np.arange(m),
+        )
+        real = cf._sample_negatives
+        drawn = []
+
+        def recording(rng, users, n_items, positives):
+            neg = real(rng, users, n_items, positives)
+            drawn.append(users * m + neg)
+            return neg
+
+        monkeypatch.setattr(cf, "_sample_negatives", recording)
+        cf.train_cf(dataset, cf.CFTrainConfig(dim=2, epochs=1, batch_size=8192, seed=4))
+        keys = np.concatenate(drawn)
+        assert len(keys) == 4096 + len(train_pairs)
+        assert not np.isin(keys, users * m + items.ravel()).any()
+
 
 class TestScoring:
     def test_zero_user_embedding(self):

@@ -43,6 +43,19 @@ def test_missing_config_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["cf", "calibration", "combination", "attack", "dataset", None])
+def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    (payload if section is None else payload[section])["dims"] = 8
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert cli_main(["train", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'dims'" in err and (section is None or repr(section) in err)
+
+
 def test_train_writes_checkpoint_and_report(workspace, capsys):
     root, cfg = workspace
     assert cli_main(["train", "--config", str(cfg)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attrunlearn import calibration, combination, data
+from attrunlearn import calibration, combination, data, mi
 from attrunlearn.calibration import CalibrationConfig, CalibrationResult
 from attrunlearn.combination import (
     CombinationConfig,
@@ -10,6 +10,7 @@ from attrunlearn.combination import (
     joint_unlearn,
     optimize_weights,
     project_simplex_softmax,
+    summed_estimate_and_alpha_gradient,
     summed_mi_estimate,
 )
 
@@ -137,6 +138,24 @@ class TestAverageCombination:
         assert np.allclose(out.embeddings, np.full((2, 2), 3.0))
 
 
+class TestSummedStep:
+    def test_batch_gradient_is_sum_of_input_gradients(self, two_attr):
+        U0, entries = two_attr
+        rng = np.random.default_rng(3)
+        idx = rng.permutation(len(U0))[:48]
+        models = [
+            mi.make_variational_model(U0.shape[1], card, seed=t, attribute=name)
+            for t, (name, _, card) in enumerate(entries)
+        ]
+        rows = [U0[idx], U0[idx] + 0.1 * rng.standard_normal((48, U0.shape[1]))]
+        labels = [lab[idx] for _, lab, _ in entries]
+        alpha = np.array([0.3, 0.7])
+        _, _, grad_batch = summed_estimate_and_alpha_gradient(models, rows, labels, alpha)
+        batch = sum(w * r for w, r in zip(alpha, rows))
+        expected = sum(mi.vclub_input_gradient(m, batch, y) for m, y in zip(models, labels))
+        assert grad_batch.tobytes() == expected.tobytes()
+
+
 class TestOptimizeWeights:
     def test_single_attribute_passthrough(self, two_attr_calibrated):
         _, entries, calibrated = two_attr_calibrated
@@ -202,6 +221,17 @@ class TestJointUnlearn:
         p1 = summed_mi_estimate(opt.embeddings, entries, seed=CALIB.seed)
         _, _, p2 = joint_unlearn(U0, entries, CALIB, alpha_step=COMB.step_size)
         assert p2 <= p1 + 0.05
+
+
+    def test_non_finite_estimate_names_the_attribute(self, two_attr, monkeypatch):
+        U0, entries = two_attr
+
+        def nan_step(model, embeddings, labels):
+            return float("nan"), np.zeros_like(embeddings)
+
+        monkeypatch.setattr(combination.mi, "contrastive_step", nan_step)
+        with pytest.raises(RuntimeError, match=repr(entries[0][0])):
+            joint_unlearn(U0, entries, CalibrationConfig(iterations=2, batch_size=16))
 
 
 class TestBoundCheck:

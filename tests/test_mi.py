@@ -108,6 +108,13 @@ class TestInputGradient:
         numeric = central_difference(value, batch)
         assert max_relative_error(analytic, numeric) < 1e-4
 
+    def test_contrastive_step_value_is_the_estimate(self):
+        rng = np.random.default_rng(15)
+        model, batch, labels = kink_free_mi_instance(rng, rows=7)
+        value, grads = mi.contrastive_step(model, batch, labels)
+        assert value == mi.estimate_vclub(model, batch, labels).value
+        assert grads.tobytes() == mi.vclub_input_gradient(model, batch, labels).tobytes()
+
     def test_duplicated_rows_sum_to_original(self):
         rng = np.random.default_rng(14)
         model, batch, labels = kink_free_mi_instance(rng, rows=6)

@@ -176,20 +176,3 @@ class TestDeterminismAndSnapshot:
         net = nets.init_network([4, 6, 3], seed=8)
         x = np.random.default_rng(1).normal(size=(5, 4))
         assert nets.forward(net, x).tobytes() == nets.forward(net, x).tobytes()
-
-    def test_snapshot_round_trip(self, tmp_path):
-        net = nets.init_network([4, 6, 3], seed=8)
-        path = tmp_path / "net.bin"
-        nets.save_network(net, path)
-        loaded = nets.load_network(path)
-        assert len(loaded.layers) == len(net.layers)
-        for la, lb in zip(net.layers, loaded.layers):
-            assert la.weights.tobytes() == lb.weights.tobytes()
-            assert la.biases.tobytes() == lb.biases.tobytes()
-            assert la.activation == lb.activation
-
-    def test_snapshot_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            nets.load_network(path)
