@@ -7,7 +7,6 @@ in the user preference vectors, used as a controllable test bed.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -116,11 +115,9 @@ class InteractionDataset:
             "sparsity_percent": round(100.0 * (1.0 - n_inter / (self.n_users * self.n_items)), 3),
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
 
-
-def _parse_ratings(path, sep: str, name: str) -> np.ndarray:
+def _parse_lines(path, sep: str, width: int, parse) -> list:
+    """``parse(fields)`` for each non-empty line; errors name the file and line."""
     rows = []
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -128,55 +125,48 @@ def _parse_ratings(path, sep: str, name: str) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(sep)
-            if len(parts) != 4:
-                raise ValueError(f"{name}:{lineno}: expected 4 fields, got {len(parts)}")
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
             try:
-                rows.append([int(p) for p in parts])
+                rows.append(parse(parts))
             except ValueError as exc:
-                raise ValueError(f"{name}:{lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
+def _parse_ratings(path, sep: str) -> np.ndarray:
+    rows = _parse_lines(path, sep, 4, lambda parts: [int(p) for p in parts])
     if not rows:
-        raise ValueError(f"{name}: no rating rows")
+        raise ValueError(f"{path}: no rating rows")
     arr = np.array(rows, dtype=np.int64)
     if arr[:, 0].min() < 0 or arr[:, 1].min() < 0:
-        raise ValueError(f"{name}: negative ids")
+        raise ValueError(f"{path}: negative ids")
     return arr
+
+
+def _parse_users(path, sep: str, age: int, gender: int) -> dict[int, UserRecord]:
+    """Parse a 5-field user file: id first, occupation fourth, ``age``/``gender`` by position."""
+    rows = _parse_lines(
+        path, sep, 5, lambda p: (int(p[0]), UserRecord(int(p[age]), p[gender], p[3]))
+    )
+    if not rows:
+        raise ValueError(f"{path}: no user rows")
+    return dict(rows)
 
 
 def load_ml100k(data_path, user_path) -> RawRatings:
     """Parse the tab-separated ``u.data`` and pipe-separated ``u.user`` files."""
-    ratings = _parse_ratings(data_path, "\t", str(data_path))
-    users: dict[int, UserRecord] = {}
-    with open(user_path, "r", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 5:
-                raise ValueError(f"{user_path}:{lineno}: expected 5 fields, got {len(parts)}")
-            users[int(parts[0])] = UserRecord(int(parts[1]), parts[2], parts[3])
-    if not users:
-        raise ValueError(f"{user_path}: no user rows")
-    return RawRatings(ratings, users)
+    return RawRatings(
+        _parse_ratings(data_path, "\t"), _parse_users(user_path, "|", age=1, gender=2)
+    )
 
 
 def load_ml1m(ratings_path, users_path) -> RawRatings:
     """Parse the '::'-separated ``ratings.dat`` / ``users.dat`` files."""
-    ratings = _parse_ratings(ratings_path, "::", str(ratings_path))
-    users: dict[int, UserRecord] = {}
-    with open(users_path, "r", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 5:
-                raise ValueError(f"{users_path}:{lineno}: expected 5 fields, got {len(parts)}")
-            # users.dat order is id::gender::age::occupation::zip
-            users[int(parts[0])] = UserRecord(int(parts[2]), parts[1], parts[3])
-    if not users:
-        raise ValueError(f"{users_path}: no user rows")
-    return RawRatings(ratings, users)
+    # users.dat order is id::gender::age::occupation::zip
+    return RawRatings(
+        _parse_ratings(ratings_path, "::"), _parse_users(users_path, "::", age=2, gender=1)
+    )
 
 
 def _age_bin(age: int, dataset_tag: str) -> int:
@@ -233,6 +223,25 @@ def bin_attributes(
     return table.align(dataset) if dataset is not None else table
 
 
+def _leave_one_out(users, items, stamps) -> tuple[np.ndarray, np.ndarray, list[set[int]]]:
+    """Leave-one-out rule over events of dense users 0..N-1, each with an event.
+
+    A user's latest event is the test item, timestamp ties going to the
+    larger item id; the user's other distinct items, sorted, are the train
+    pairs. Returns (train_pairs (T, 2), test_items (N,), train_item_sets).
+    """
+    order = np.lexsort((items, stamps, users))
+    users, items = users[order], items[order]
+    test_items = items[np.append(users[1:] != users[:-1], True)]
+    n_items = int(items.max()) + 1
+    keys = np.unique((users * n_items + items)[items != test_items[users]])
+    train_pairs = np.column_stack(np.divmod(keys, n_items))
+    bounds = np.searchsorted(train_pairs[:, 0], np.arange(len(test_items) + 1)).tolist()
+    flat = train_pairs[:, 1].tolist()
+    train_item_sets = [set(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return train_pairs, test_items, train_item_sets
+
+
 def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionDataset:
     """Leave-one-out split: drop light users, hold out each user's latest item.
 
@@ -241,36 +250,20 @@ def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionD
     """
     ratings = raw.ratings
     uids, counts = np.unique(ratings[:, 0], return_counts=True)
-    kept = set(uids[counts >= min_interactions].tolist())
-    if not kept:
+    user_ids = uids[counts >= min_interactions]
+    if not len(user_ids):
         raise ValueError("no users meet the interaction threshold")
-    mask = np.fromiter((int(u) in kept for u in ratings[:, 0]), bool, len(ratings))
-    ratings = ratings[mask]
-
-    user_ids = np.array(sorted(kept), dtype=np.int64)
+    ratings = ratings[np.isin(ratings[:, 0], user_ids)]
     item_ids = np.unique(ratings[:, 1])
-    umap = {int(u): i for i, u in enumerate(user_ids)}
-    imap = {int(v): i for i, v in enumerate(item_ids)}
-
-    n_users = len(user_ids)
-    per_user: list[list[tuple[int, int]]] = [[] for _ in range(n_users)]
-    for u_raw, v_raw, _, ts in ratings:
-        per_user[umap[int(u_raw)]].append((int(ts), imap[int(v_raw)]))
-
-    test_items = np.empty(n_users, dtype=np.int64)
-    train_pairs = []
-    train_item_sets: list[set[int]] = []
-    for u in range(n_users):
-        events = per_user[u]
-        test_items[u] = max(events)[1]  # (timestamp, item) lexicographic
-        items = {item for _, item in events if item != test_items[u]}
-        train_item_sets.append(items)
-        train_pairs.extend((u, item) for item in sorted(items))
-
+    train_pairs, test_items, train_item_sets = _leave_one_out(
+        np.searchsorted(user_ids, ratings[:, 0]),
+        np.searchsorted(item_ids, ratings[:, 1]),
+        ratings[:, 3],
+    )
     return InteractionDataset(
-        n_users=n_users,
+        n_users=len(user_ids),
         n_items=len(item_ids),
-        train_pairs=np.array(train_pairs, dtype=np.int64),
+        train_pairs=train_pairs,
         test_items=test_items,
         train_item_sets=train_item_sets,
         user_ids=user_ids,
@@ -337,21 +330,15 @@ def synthetic_dataset(
     order = np.argsort(-(scores + gumbel), axis=1, kind="stable")
     chosen = order[:, :items_per_user]
 
-    train_pairs = []
-    test_items = np.empty(n_users, dtype=np.int64)
-    train_item_sets: list[set[int]] = []
-    for u in range(n_users):
-        stamps = rng.permutation(items_per_user)
-        latest = int(np.argmax(stamps))
-        test_items[u] = chosen[u, latest]
-        items_u = {int(v) for j, v in enumerate(chosen[u]) if j != latest}
-        train_item_sets.append(items_u)
-        train_pairs.extend((u, v) for v in sorted(items_u))
+    stamps = np.stack([rng.permutation(items_per_user) for _ in range(n_users)])
+    train_pairs, test_items, train_item_sets = _leave_one_out(
+        np.repeat(np.arange(n_users), items_per_user), chosen.ravel(), stamps.ravel()
+    )
 
     dataset = InteractionDataset(
         n_users=n_users,
         n_items=n_items,
-        train_pairs=np.array(train_pairs, dtype=np.int64),
+        train_pairs=train_pairs,
         test_items=test_items,
         train_item_sets=train_item_sets,
         user_ids=np.arange(n_users, dtype=np.int64),

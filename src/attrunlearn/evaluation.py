@@ -8,7 +8,6 @@ NDCG@K against the full negative item set.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -94,24 +93,19 @@ def bacc(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def micro_f1(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Micro-averaged F1 in percent via pooled TP/FP/FN counts.
+    """Micro-averaged F1 in percent, 0.0 for empty input.
 
     For single-label multiclass prediction this equals plain accuracy: every
-    error is simultaneously one false positive and one false negative.
+    error is simultaneously one false positive and one false negative, so the
+    pooled 2TP / (2TP + FP + FN) is the share of exact matches.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError("predictions/labels length mismatch")
-    classes = np.union1d(predictions, labels)
-    tp = fp = fn = 0
-    for cls in classes:
-        tp += int(((predictions == cls) & (labels == cls)).sum())
-        fp += int(((predictions == cls) & (labels != cls)).sum())
-        fn += int(((predictions != cls) & (labels == cls)).sum())
-    if tp == 0 and fp == 0 and fn == 0:
+    if not labels.size:
         return 0.0
-    return 100.0 * 2.0 * tp / (2.0 * tp + fp + fn)
+    return 100.0 * int((predictions == labels).sum()) / labels.size
 
 
 def train_attacker(
@@ -228,7 +222,7 @@ def hr_ndcg_at_k(
     """Leave-one-out HR@K and NDCG@K over the full negative item set.
 
     Each user's held-out item is ranked among all items outside their train
-    set; score ties resolve toward the smaller item id. A hit contributes
+    pairs; score ties resolve toward the smaller item id. A hit contributes
     1/log2(rank+1) to NDCG, so NDCG <= HR at the same K. Users are scored in
     blocks of about ``_RANK_BLOCK_CELLS`` scores, so memory stays flat in N.
     """
@@ -238,18 +232,16 @@ def hr_ndcg_at_k(
     test = np.asarray(dataset.test_items, dtype=np.int64)
     for u in np.flatnonzero(test < 0):
         log.warning("user %d has no test item; skipped", u)
-    sets = dataset.train_item_sets
-    counts = np.fromiter(map(len, sets), dtype=np.int64, count=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    train_items = np.fromiter(itertools.chain.from_iterable(sets), np.int64, offsets[-1])
+    pairs = dataset.train_pairs[np.argsort(dataset.train_pairs[:, 0], kind="stable")]
+    bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1))
     ids = np.arange(m)
     ranks = np.zeros(n, dtype=np.int64)
     block = max(1, _RANK_BLOCK_CELLS // max(m, 1))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         scores = user_embeddings[lo:hi] @ item_embeddings.T
-        rows = np.repeat(np.arange(hi - lo), counts[lo:hi])
-        scores[rows, train_items[offsets[lo] : offsets[hi]]] = -np.inf
+        rows = pairs[bounds[lo] : bounds[hi]]
+        scores[rows[:, 0] - lo, rows[:, 1]] = -np.inf
         t = test[lo:hi]
         target = scores[np.arange(hi - lo), np.maximum(t, 0)][:, None]
         ahead = (scores > target) | ((scores == target) & (ids < t[:, None]))

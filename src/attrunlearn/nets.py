@@ -53,11 +53,6 @@ class DenseNetwork:
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers]
-        )
-
 
 @dataclass
 class GradientBundle:

@@ -79,13 +79,29 @@ _SECTIONS = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
              "combination": CombinationConfig, "attack": AttackSettings}
 
 
-def _checked(where: str, values, known: set) -> dict:
-    """``values`` if it is an object whose keys are all in ``known``."""
+# JSON values accepted for each declared field type: an int is a valid float,
+# and a bool is only a bool although Python counts it as an int
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _declared(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
+
+
+def _checked(where: str, values, declared: dict[str, str]) -> dict:
+    """``values`` if it is an object whose keys are in ``declared`` and whose
+    scalar values have the declared types (sections are checked on their own)."""
     if not isinstance(values, dict):
         raise ValueError(f"config {where} must be an object")
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - set(declared))
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    for key, value in values.items():
+        kind = declared[key]
+        if kind in _JSON_TYPES and (
+            not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "bool")
+        ):
+            raise ValueError(f"config key {key!r} in {where} must be {kind}, got {value!r}")
     return values
 
 
@@ -126,13 +142,14 @@ class Config:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {version}")
         values = {k: v for k, v in payload.items() if k != "schema_version"}
-        top_level = ({f.name for f in fields(cls)} - set(_DATASET_KEYS.values())) | {"dataset"}
-        _checked("the top level", values, top_level)
-        dataset = _checked("section 'dataset'", values.pop("dataset", {}), set(_DATASET_KEYS))
+        declared = _declared(cls)
+        dataset_keys = {key: declared.pop(name) for key, name in _DATASET_KEYS.items()}
+        _checked("the top level", values, declared | {"dataset": "object"})
+        dataset = _checked("section 'dataset'", values.pop("dataset", {}), dataset_keys)
         for name, section_cls in _SECTIONS.items():
             if name in values:
-                known = {f.name for f in fields(section_cls)}
-                values[name] = section_cls(**_checked(f"section {name!r}", values[name], known))
+                section = _checked(f"section {name!r}", values[name], _declared(section_cls))
+                values[name] = section_cls(**section)
         cfg = cls(**values, **{_DATASET_KEYS[k]: v for k, v in dataset.items()})
         cfg.validate()
         return cfg
@@ -181,16 +198,20 @@ def load_dataset(config: Config) -> tuple[InteractionDataset, AttributeTable]:
 
 
 def ensure_model(config: Config, dataset: InteractionDataset) -> CFModel:
-    """Load the checkpoint if one matches the config, else train and save."""
+    """Load the checkpoint if the training config recorded beside it matches, else train."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"model_{dataset.fingerprint()}_{config.cf.seed}.cf"
-    if ckpt.exists():
+    record = ckpt.with_suffix(".json")
+    trained_with = json.dumps(asdict(config.cf), sort_keys=True)
+    if ckpt.exists() and record.exists() and record.read_text() == trained_with:
         model = load_model(ckpt)
         if model.user_embeddings.shape == (dataset.n_users, config.cf.dim):
             return model
     model = train_cf(dataset, config.cf)
+    record.unlink(missing_ok=True)  # never leave a record that names another model
     save_model(model, ckpt)
+    record.write_text(trained_with)
     return model
 
 

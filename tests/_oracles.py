@@ -3,6 +3,7 @@
 import numpy as np
 
 from attrunlearn import calibration, mi, nets
+from attrunlearn.data import InteractionDataset
 from attrunlearn.evaluation import bacc
 
 
@@ -87,6 +88,66 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
         nlls.append(nll)
         dists.append(float(np.linalg.norm(U - U0)))
     return U, np.array(mis), np.array(nlls), np.array(dists)
+
+
+def reference_split(raw, min_interactions: int = 5) -> InteractionDataset:
+    """Per-rating leave-one-out split: dict id maps and one event list per user.
+
+    A user's test item is the maximum (timestamp, dense item) pair; the other
+    distinct items, sorted, are the train pairs.
+    """
+    ratings = raw.ratings
+    uids, counts = np.unique(ratings[:, 0], return_counts=True)
+    kept = set(uids[counts >= min_interactions].tolist())
+    if not kept:
+        raise ValueError("no users meet the interaction threshold")
+    mask = np.fromiter((int(u) in kept for u in ratings[:, 0]), bool, len(ratings))
+    ratings = ratings[mask]
+
+    user_ids = np.array(sorted(kept), dtype=np.int64)
+    item_ids = np.unique(ratings[:, 1])
+    umap = {int(u): i for i, u in enumerate(user_ids)}
+    imap = {int(v): i for i, v in enumerate(item_ids)}
+
+    n_users = len(user_ids)
+    per_user: list[list[tuple[int, int]]] = [[] for _ in range(n_users)]
+    for u_raw, v_raw, _, ts in ratings:
+        per_user[umap[int(u_raw)]].append((int(ts), imap[int(v_raw)]))
+
+    test_items = np.empty(n_users, dtype=np.int64)
+    train_pairs = []
+    train_item_sets: list[set[int]] = []
+    for u in range(n_users):
+        events = per_user[u]
+        test_items[u] = max(events)[1]  # (timestamp, item) lexicographic
+        items = {item for _, item in events if item != test_items[u]}
+        train_item_sets.append(items)
+        train_pairs.extend((u, item) for item in sorted(items))
+
+    return InteractionDataset(
+        n_users=n_users,
+        n_items=len(item_ids),
+        train_pairs=np.array(train_pairs, dtype=np.int64),
+        test_items=test_items,
+        train_item_sets=train_item_sets,
+        user_ids=user_ids,
+        item_ids=item_ids,
+    )
+
+
+def reference_micro_f1(predictions, labels) -> float:
+    """Micro-averaged F1 in percent from TP/FP/FN counts pooled over classes."""
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
+    classes = np.union1d(predictions, labels)
+    tp = fp = fn = 0
+    for cls in classes:
+        tp += int(((predictions == cls) & (labels == cls)).sum())
+        fp += int(((predictions == cls) & (labels != cls)).sum())
+        fn += int(((predictions != cls) & (labels == cls)).sum())
+    if tp == 0 and fp == 0 and fn == 0:
+        return 0.0
+    return 100.0 * 2.0 * tp / (2.0 * tp + fp + fn)
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

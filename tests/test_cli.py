@@ -56,6 +56,36 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section):
     assert "'dims'" in err and (section is None or repr(section) in err)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("cf", "dim", "8"),
+    (None, "workers", "2"),
+    ("calibration", "iterations", "5"),
+    (None, "rec_k", None),
+    ("cf", "epochs", True),  # a bool is not an int
+    ("calibration", "eps_ratio", "0.5"),
+    (None, "evaluate", 1),
+])
+def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, key, value):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    (payload if section is None else payload[section])[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert cli_main(["train", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(key) in err and (section is None or repr(section) in err)
+
+
+def test_int_accepted_where_float_declared(workspace, tmp_path):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    payload["calibration"]["eps_ratio"] = 1
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(payload))
+    assert Config.from_json(path).calibration.eps_ratio == 1
+
+
 def test_train_writes_checkpoint_and_report(workspace, capsys):
     root, cfg = workspace
     assert cli_main(["train", "--config", str(cfg)]) == 0

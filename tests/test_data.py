@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from attrunlearn import data
-from _oracles import linear_probe_bacc
+from _oracles import linear_probe_bacc, reference_split
+from _surrogate import generate_ml100k_like
 
 ML100K_DIR = os.environ.get("ML100K_DIR", "")
 HAVE_ML100K = bool(ML100K_DIR) and Path(ML100K_DIR, "u.data").exists()
@@ -48,6 +50,15 @@ class TestLoaders:
         upath = tmp_path / "u.user"
         upath.write_text("1|24|M|student|00000\n")
         with pytest.raises(ValueError, match=":2:"):
+            data.load_ml100k(dpath, upath)
+
+    def test_malformed_user_row_reports_line(self, tmp_path):
+        dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS[:3], FIXTURE_USERS)
+        upath.write_text("1|24|M|student|00000\n2|old|F|writer|00000\n")
+        with pytest.raises(ValueError, match=":2:"):
+            data.load_ml100k(dpath, upath)
+        upath.write_text("1|24|M|student|00000\n\n3|30|M|writer\n")
+        with pytest.raises(ValueError, match=":3: expected 5 fields"):
             data.load_ml100k(dpath, upath)
 
     def test_missing_file(self, tmp_path):
@@ -158,7 +169,64 @@ class TestSplit:
         assert 0 <= summary["sparsity_percent"] <= 100
 
 
+def assert_same_split(got, want):
+    assert (got.n_users, got.n_items) == (want.n_users, want.n_items)
+    for name in ("train_pairs", "test_items", "user_ids", "item_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.train_item_sets == want.train_item_sets
+    assert got.fingerprint() == want.fingerprint()
+
+
+class TestSplitOracle:
+    """``preprocess_split`` against the per-rating loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["duplicate", "tie", "only_test_item", "light_user"])
+    def test_matches_reference(self, tmp_path, case):
+        ratings = list(FIXTURE_RATINGS)
+        if case == "duplicate":
+            ratings += [(1, 12, 2, 90), (2, 16, 4, 141)]  # users 1 and 2 rate an item again
+        elif case == "tie":
+            ratings += [(2, 12, 5, 201), (2, 14, 5, 201)]  # test item 14 wins the tie on id
+        elif case == "only_test_item":
+            ratings += [(4, 20, r, 300 + r) for r in range(5)]  # five ratings of one item
+        elif case == "light_user":
+            ratings += [(5, 10, 3, 400)]  # a second user under min_interactions
+        dpath, upath = write_fixture(tmp_path, ratings, FIXTURE_USERS)
+        raw = data.load_ml100k(dpath, upath)
+        got, want = data.preprocess_split(raw), reference_split(raw)
+        assert_same_split(got, want)
+        if case == "only_test_item":
+            assert got.train_item_sets[-1] == set()
+        if case == "light_user":
+            assert 5 not in got.user_ids and 3 not in got.user_ids
+
+    def test_matches_reference_on_surrogate(self, tmp_path):
+        root = generate_ml100k_like(tmp_path / "ml100k")
+        raw = data.load_ml100k(root / "u.data", root / "u.user")
+        assert_same_split(data.preprocess_split(raw), reference_split(raw))
+
+
+def synthetic_digest(*args, **kwargs):
+    dataset, table = data.synthetic_dataset(*args, **kwargs)
+    h = hashlib.sha256()
+    for a in (dataset.train_pairs, dataset.test_items, dataset.oracle_embeddings,
+              dataset.oracle_item_embeddings, *(a.labels for a in table.attributes)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr([sorted(s) for s in dataset.train_item_sets]).encode())
+    return h.hexdigest()[:16]
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("args,kwargs,expected", [
+        ((200, 100, 4, 1), {}, "d2e88c3c3cf2dbfb"),
+        ((120, 80, 3, 5), {"cardinalities": (2, 3)}, "8dbb65d35eab8223"),
+        ((60, 40, 2, 13), {"items_per_user": 5}, "fda39b9d884de32a"),
+    ])
+    def test_outputs_pinned(self, args, kwargs, expected):
+        # digests of the outputs of the per-user split loop this generator used to run
+        assert synthetic_digest(*args, **kwargs) == expected
+
     def test_planted_signal_recoverable(self):
         dataset, table = data.synthetic_dataset(200, 100, d_signal=4, seed=1)
         score = linear_probe_bacc(dataset.oracle_embeddings, table.get("attr0").labels)

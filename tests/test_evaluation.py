@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from _oracles import reference_micro_f1
 from attrunlearn import data, evaluation, nets
 from attrunlearn.evaluation import (
     FoldSpec,
@@ -69,6 +70,15 @@ class TestMicroF1:
         labels = rng.integers(0, 4, 100)
         preds = rng.integers(0, 4, 100)
         assert micro_f1(preds, labels) == pytest.approx(100.0 * (preds == labels).mean())
+
+    def test_bitwise_equal_to_pooled_counts(self):
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            n, p = int(rng.integers(0, 60)), int(rng.integers(1, 8))
+            labels = rng.integers(0, p, n)
+            preds = np.where(rng.random(n) < rng.random(), labels, rng.integers(0, p, n))
+            assert micro_f1(preds, labels) == reference_micro_f1(preds, labels)
+        assert micro_f1(np.array([], int), np.array([], int)) == 0.0
 
 
 class TestFolds:
@@ -215,6 +225,7 @@ class TestHrNdcg:
 
     def test_train_items_excluded_from_ranking(self):
         item_emb, dataset = ranking_fixture()
+        dataset.train_pairs = np.array([[0, 0], [0, 1]])
         dataset.train_item_sets = [{0, 1}]
         U = np.array([[9.0, 8.0, 7.0, 0.0, 0.0, 0.0]])
         rep = hr_ndcg_at_k(U, item_emb, dataset, k=1)
