@@ -111,10 +111,9 @@ def _dispatch(args) -> int:
             attribute=attr.name, cardinality=attr.cardinality,
         )
         store = EmbeddingStore(config.resolved_store_dir())
-        store.put(
-            store.key(dataset.fingerprint(), attr.name, config.calibration.hash()),
-            result.embeddings,
-        )
+        keys = store.key(model.user_embeddings, table.entries([attr.name]),
+                         config.calibration.hash())
+        store.put(keys[attr.name], result.embeddings)
         if args.trace_csv:
             trace_to_csv(result, args.trace_csv)
         _write_report(

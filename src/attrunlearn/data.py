@@ -23,16 +23,12 @@ ML100K_OCCUPATIONS = (
 
 
 @dataclass
-class UserRecord:
-    age: int
-    gender: str
-    occupation: str
-
-
-@dataclass
 class RawRatings:
     ratings: np.ndarray  # (n, 4) int64 columns: user, item, rating, timestamp
-    users: dict[int, UserRecord]
+    user_ids: np.ndarray  # (U,) int64, ascending and distinct
+    ages: np.ndarray  # (U,) int64, one per user_ids entry
+    genders: np.ndarray  # (U,) str, as written in the user file
+    occupations: np.ndarray  # (U,) str, as written in the user file
 
 
 @dataclass
@@ -74,11 +70,12 @@ class AttributeTable:
 
     def align(self, dataset: "InteractionDataset") -> "AttributeTable":
         """Reorder label rows to the dataset's dense user index."""
-        pos = {int(u): i for i, u in enumerate(self.user_ids)}
-        missing = [int(u) for u in dataset.user_ids if int(u) not in pos]
-        if missing:
-            raise ValueError(f"no attribute labels for raw users {missing[:5]}")
-        order = np.array([pos[int(u)] for u in dataset.user_ids])
+        missing = dataset.user_ids[~np.isin(dataset.user_ids, self.user_ids)]
+        if len(missing):
+            raise ValueError(f"no attribute labels for raw users {missing[:5].tolist()}")
+        by_id = np.argsort(self.user_ids, kind="stable")
+        # side="right" picks a repeated id's last row
+        order = by_id[np.searchsorted(self.user_ids[by_id], dataset.user_ids, side="right") - 1]
         return AttributeTable(
             [Attribute(a.name, a.cardinality, a.labels[order]) for a in self.attributes],
             dataset.user_ids.copy(),
@@ -91,7 +88,6 @@ class InteractionDataset:
     n_items: int
     train_pairs: np.ndarray  # (T, 2) dense (user, item)
     test_items: np.ndarray  # (N,) dense item per user
-    train_item_sets: list[set[int]]
     user_ids: np.ndarray  # dense -> raw
     item_ids: np.ndarray  # dense -> raw
     oracle_embeddings: np.ndarray | None = None  # synthetic generator only
@@ -144,20 +140,23 @@ def _parse_ratings(path, sep: str) -> np.ndarray:
     return arr
 
 
-def _parse_users(path, sep: str, age: int, gender: int) -> dict[int, UserRecord]:
-    """Parse a 5-field user file: id first, occupation fourth, ``age``/``gender`` by position."""
-    rows = _parse_lines(
-        path, sep, 5, lambda p: (int(p[0]), UserRecord(int(p[age]), p[gender], p[3]))
-    )
+def _parse_users(path, sep: str, age: int, gender: int) -> tuple[np.ndarray, ...]:
+    """Id-sorted (ids, ages, genders, occupations) of a 5-field user file: id first,
+    occupation fourth, ``age``/``gender`` by position. A repeated id is an error."""
+    rows = _parse_lines(path, sep, 5, lambda p: (int(p[0]), int(p[age]), p[gender], p[3]))
     if not rows:
         raise ValueError(f"{path}: no user rows")
-    return dict(rows)
+    ids, ages, genders, occupations = zip(*rows)
+    ids, first, counts = np.unique(np.int64(ids), return_index=True, return_counts=True)
+    if counts.max() > 1:
+        raise ValueError(f"{path}: user id {ids[counts.argmax()]} listed more than once")
+    return ids, np.int64(ages)[first], np.array(genders)[first], np.array(occupations)[first]
 
 
 def load_ml100k(data_path, user_path) -> RawRatings:
     """Parse the tab-separated ``u.data`` and pipe-separated ``u.user`` files."""
     return RawRatings(
-        _parse_ratings(data_path, "\t"), _parse_users(user_path, "|", age=1, gender=2)
+        _parse_ratings(data_path, "\t"), *_parse_users(user_path, "|", age=1, gender=2)
     )
 
 
@@ -165,17 +164,20 @@ def load_ml1m(ratings_path, users_path) -> RawRatings:
     """Parse the '::'-separated ``ratings.dat`` / ``users.dat`` files."""
     # users.dat order is id::gender::age::occupation::zip
     return RawRatings(
-        _parse_ratings(ratings_path, "::"), _parse_users(users_path, "::", age=2, gender=1)
+        _parse_ratings(ratings_path, "::"), *_parse_users(users_path, "::", age=2, gender=1)
     )
 
 
-def _age_bin(age: int, dataset_tag: str) -> int:
+def _reject_first(bad: np.ndarray, ids: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise for the first user flagged ``bad``, naming its id and its value."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"user {ids[row]}: " + message.format(values[row].item()))
+
+
+def _age_bin(age, dataset_tag: str):
     lo, hi = (28, 40) if dataset_tag == "ml-100k" else (25, 35)
-    if age < lo:
-        return 0
-    if age <= hi:
-        return 1
-    return 2
+    return np.asarray(age >= lo, dtype=np.int64) + (age > hi)
 
 
 def bin_attributes(
@@ -190,28 +192,20 @@ def bin_attributes(
     """
     if dataset_tag not in ("ml-100k", "ml-1m"):
         raise ValueError(f"unknown dataset tag {dataset_tag!r}")
-    ids = np.array(sorted(raw.users), dtype=np.int64)
-    gender = np.empty(len(ids), dtype=np.int64)
-    age = np.empty(len(ids), dtype=np.int64)
-    occupation = np.empty(len(ids), dtype=np.int64)
-    occ_index = {name: i for i, name in enumerate(ML100K_OCCUPATIONS)}
-    for row, uid in enumerate(ids):
-        rec = raw.users[int(uid)]
-        g = rec.gender.strip().upper()
-        if g not in ("M", "F"):
-            raise ValueError(f"user {uid}: unknown gender {rec.gender!r}")
-        gender[row] = 0 if g == "M" else 1
-        age[row] = _age_bin(rec.age, dataset_tag)
-        occ = rec.occupation.strip()
-        if dataset_tag == "ml-100k":
-            if occ not in occ_index:
-                raise ValueError(f"user {uid}: unknown occupation {occ!r}")
-            occupation[row] = occ_index[occ]
-        else:
-            code = int(occ)
-            if not 0 <= code < 21:
-                raise ValueError(f"user {uid}: occupation code {code} outside [0, 21)")
-            occupation[row] = code
+    ids = raw.user_ids
+    g = np.char.upper(np.char.strip(raw.genders))
+    _reject_first((g != "M") & (g != "F"), ids, raw.genders, "unknown gender {!r}")
+    gender = (g == "F").astype(np.int64)
+    age = _age_bin(raw.ages, dataset_tag)
+    occ = np.char.strip(raw.occupations)
+    if dataset_tag == "ml-100k":
+        catalogue = np.array(ML100K_OCCUPATIONS)  # alphabetical, so searchsorted finds a name
+        occupation = np.searchsorted(catalogue, occ).clip(max=len(catalogue) - 1)
+        _reject_first(catalogue[occupation] != occ, ids, occ, "unknown occupation {!r}")
+    else:
+        occupation = occ.astype(np.int64)
+        bad = (occupation < 0) | (occupation >= 21)
+        _reject_first(bad, ids, occupation, "occupation code {} outside [0, 21)")
     table = AttributeTable(
         [
             Attribute("gender", 2, gender),
@@ -223,23 +217,19 @@ def bin_attributes(
     return table.align(dataset) if dataset is not None else table
 
 
-def _leave_one_out(users, items, stamps) -> tuple[np.ndarray, np.ndarray, list[set[int]]]:
+def _leave_one_out(users, items, stamps) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out rule over events of dense users 0..N-1, each with an event.
 
     A user's latest event is the test item, timestamp ties going to the
     larger item id; the user's other distinct items, sorted, are the train
-    pairs. Returns (train_pairs (T, 2), test_items (N,), train_item_sets).
+    pairs. Returns (train_pairs (T, 2), test_items (N,)).
     """
     order = np.lexsort((items, stamps, users))
     users, items = users[order], items[order]
     test_items = items[np.append(users[1:] != users[:-1], True)]
     n_items = int(items.max()) + 1
     keys = np.unique((users * n_items + items)[items != test_items[users]])
-    train_pairs = np.column_stack(np.divmod(keys, n_items))
-    bounds = np.searchsorted(train_pairs[:, 0], np.arange(len(test_items) + 1)).tolist()
-    flat = train_pairs[:, 1].tolist()
-    train_item_sets = [set(flat[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return train_pairs, test_items, train_item_sets
+    return np.column_stack(np.divmod(keys, n_items)), test_items
 
 
 def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionDataset:
@@ -255,7 +245,7 @@ def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionD
         raise ValueError("no users meet the interaction threshold")
     ratings = ratings[np.isin(ratings[:, 0], user_ids)]
     item_ids = np.unique(ratings[:, 1])
-    train_pairs, test_items, train_item_sets = _leave_one_out(
+    train_pairs, test_items = _leave_one_out(
         np.searchsorted(user_ids, ratings[:, 0]),
         np.searchsorted(item_ids, ratings[:, 1]),
         ratings[:, 3],
@@ -265,7 +255,6 @@ def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionD
         n_items=len(item_ids),
         train_pairs=train_pairs,
         test_items=test_items,
-        train_item_sets=train_item_sets,
         user_ids=user_ids,
         item_ids=item_ids,
     )
@@ -331,7 +320,7 @@ def synthetic_dataset(
     chosen = order[:, :items_per_user]
 
     stamps = np.stack([rng.permutation(items_per_user) for _ in range(n_users)])
-    train_pairs, test_items, train_item_sets = _leave_one_out(
+    train_pairs, test_items = _leave_one_out(
         np.repeat(np.arange(n_users), items_per_user), chosen.ravel(), stamps.ravel()
     )
 
@@ -340,7 +329,6 @@ def synthetic_dataset(
         n_items=n_items,
         train_pairs=train_pairs,
         test_items=test_items,
-        train_item_sets=train_item_sets,
         user_ids=np.arange(n_users, dtype=np.int64),
         item_ids=np.arange(n_items, dtype=np.int64),
         oracle_embeddings=z,

@@ -44,6 +44,10 @@ class AttackSettings:
     seed: int = 11
     max_iterations: int = 500
 
+    def __post_init__(self):
+        if self.n_folds < 2 or self.max_iterations < 0:
+            raise ValueError("attack needs n_folds >= 2 and max_iterations >= 0")
+
 
 @dataclass
 class ScenarioScript:
@@ -247,23 +251,21 @@ def run_scenario(
     store = EmbeddingStore(config.resolved_store_dir())
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds_hash = dataset.fingerprint()
     cfg_hash = config.calibration.hash()
     U0 = model.user_embeddings
     folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
 
     reports = []
     for r_idx, request in enumerate(script.requests):
-        for name in request:
-            attributes.get(name)  # raises KeyError for unknown attributes
         t_unlearn = time.perf_counter()
+        # raises KeyError for unknown attributes
+        keys = store.key(U0, attributes.entries(request), cfg_hash)
         cached: dict[str, np.ndarray] = {}
         to_run: list[str] = []
         for name in request:
-            key = store.key(ds_hash, name, cfg_hash)
-            if key in store:
+            if keys[name] in store:
                 try:
-                    cached[name] = store.get(key)
+                    cached[name] = store.get(keys[name])
                     continue
                 except StoreError as exc:
                     log.warning("store entry for %r unusable (%s); recalibrating", name, exc)
@@ -284,7 +286,7 @@ def run_scenario(
             else:
                 fresh = dict(calibrate_one(name) for name in to_run)
             for name, result in fresh.items():
-                store.put(store.key(ds_hash, name, cfg_hash), result.embeddings)
+                store.put(keys[name], result.embeddings)
         t_calib = time.perf_counter() - t_unlearn
 
         calibrated = []

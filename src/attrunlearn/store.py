@@ -20,8 +20,8 @@ EMBEDDING_MAGIC = b"LEGOEMB1"
 MANIFEST_NAME = "manifest.json"
 
 
-class StoreError(Exception):
-    pass
+class StoreError(ValueError):
+    """A store file or entry that is missing, corrupt or inconsistent."""
 
 
 def _checksum(blob: bytes) -> bytes:
@@ -70,8 +70,18 @@ class EmbeddingStore:
         self._lock = threading.Lock()
 
     @staticmethod
-    def key(dataset_hash: str, attribute: str, config_hash: str) -> str:
-        return f"{dataset_hash}__{attribute}__{config_hash}"
+    def key(U0: np.ndarray, entries, config_hash: str) -> dict[str, str]:
+        """``<content>__<name>__<config_hash>`` per (name, labels, cardinality) entry,
+        where ``<content>`` hashes U0's shape and bytes, the labels and the cardinality."""
+        base = hashlib.sha256(np.int64(U0.shape).tobytes())
+        base.update(np.ascontiguousarray(U0, dtype="<f8"))
+        keys = {}
+        for name, labels, cardinality in entries:
+            h = base.copy()
+            h.update(np.ascontiguousarray(labels, dtype="<i8"))
+            h.update(np.int64(cardinality).tobytes())
+            keys[name] = f"{h.hexdigest()[:16]}__{name}__{config_hash}"
+        return keys
 
     def _manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME

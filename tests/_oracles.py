@@ -3,7 +3,7 @@
 import numpy as np
 
 from attrunlearn import calibration, mi, nets
-from attrunlearn.data import InteractionDataset
+from attrunlearn.data import ML100K_OCCUPATIONS, Attribute, AttributeTable, InteractionDataset
 from attrunlearn.evaluation import bacc
 
 
@@ -116,12 +116,10 @@ def reference_split(raw, min_interactions: int = 5) -> InteractionDataset:
 
     test_items = np.empty(n_users, dtype=np.int64)
     train_pairs = []
-    train_item_sets: list[set[int]] = []
     for u in range(n_users):
         events = per_user[u]
         test_items[u] = max(events)[1]  # (timestamp, item) lexicographic
         items = {item for _, item in events if item != test_items[u]}
-        train_item_sets.append(items)
         train_pairs.extend((u, item) for item in sorted(items))
 
     return InteractionDataset(
@@ -129,10 +127,70 @@ def reference_split(raw, min_interactions: int = 5) -> InteractionDataset:
         n_items=len(item_ids),
         train_pairs=np.array(train_pairs, dtype=np.int64),
         test_items=test_items,
-        train_item_sets=train_item_sets,
         user_ids=user_ids,
         item_ids=item_ids,
     )
+
+
+def reference_align(table, dataset) -> AttributeTable:
+    """Reorder label rows to the dataset's dense user index through an id -> row dict."""
+    pos = {int(u): i for i, u in enumerate(table.user_ids)}
+    missing = [int(u) for u in dataset.user_ids if int(u) not in pos]
+    if missing:
+        raise ValueError(f"no attribute labels for raw users {missing[:5]}")
+    order = np.array([pos[int(u)] for u in dataset.user_ids])
+    return AttributeTable(
+        [Attribute(a.name, a.cardinality, a.labels[order]) for a in table.attributes],
+        dataset.user_ids.copy(),
+    )
+
+
+def _reference_age_bin(age: int, dataset_tag: str) -> int:
+    lo, hi = (28, 40) if dataset_tag == "ml-100k" else (25, 35)
+    if age < lo:
+        return 0
+    if age <= hi:
+        return 1
+    return 2
+
+
+def reference_bin_attributes(raw, dataset_tag: str, dataset=None) -> AttributeTable:
+    """Per-user binning loop over an id -> (age, gender, occupation) dict."""
+    users = {
+        int(u): (int(a), str(g), str(o))
+        for u, a, g, o in zip(raw.user_ids, raw.ages, raw.genders, raw.occupations)
+    }
+    ids = np.array(sorted(users), dtype=np.int64)
+    gender = np.empty(len(ids), dtype=np.int64)
+    age = np.empty(len(ids), dtype=np.int64)
+    occupation = np.empty(len(ids), dtype=np.int64)
+    occ_index = {name: i for i, name in enumerate(ML100K_OCCUPATIONS)}
+    for row, uid in enumerate(ids):
+        rec_age, rec_gender, rec_occupation = users[int(uid)]
+        g = rec_gender.strip().upper()
+        if g not in ("M", "F"):
+            raise ValueError(f"user {uid}: unknown gender {rec_gender!r}")
+        gender[row] = 0 if g == "M" else 1
+        age[row] = _reference_age_bin(rec_age, dataset_tag)
+        occ = rec_occupation.strip()
+        if dataset_tag == "ml-100k":
+            if occ not in occ_index:
+                raise ValueError(f"user {uid}: unknown occupation {occ!r}")
+            occupation[row] = occ_index[occ]
+        else:
+            code = int(occ)
+            if not 0 <= code < 21:
+                raise ValueError(f"user {uid}: occupation code {code} outside [0, 21)")
+            occupation[row] = code
+    table = AttributeTable(
+        [
+            Attribute("gender", 2, gender),
+            Attribute("age", 3, age),
+            Attribute("occupation", 21, occupation),
+        ],
+        ids,
+    )
+    return reference_align(table, dataset) if dataset is not None else table
 
 
 def reference_micro_f1(predictions, labels) -> float:

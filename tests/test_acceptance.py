@@ -311,7 +311,7 @@ def test_criterion_10_metric_fixtures():
     dataset = data.InteractionDataset(
         n_users=1, n_items=6,
         train_pairs=np.empty((0, 2), dtype=np.int64),
-        test_items=np.array([2]), train_item_sets=[set()],
+        test_items=np.array([2]),
         user_ids=np.arange(1), item_ids=np.arange(6),
     )
     rank3 = evaluation.hr_ndcg_at_k(

@@ -12,7 +12,6 @@ def tiny_dataset():
         n_items=3,
         train_pairs=train_pairs,
         test_items=np.array([1, 0, 1]),
-        train_item_sets=[{0}, {1, 2}, {2, 0}],
         user_ids=np.arange(3),
         item_ids=np.arange(3),
     )
@@ -73,7 +72,6 @@ class TestTraining:
             n_items=m,
             train_pairs=train_pairs,
             test_items=np.zeros(n, dtype=np.int64),
-            train_item_sets=[set(row) for row in items.tolist()],
             user_ids=np.arange(n),
             item_ids=np.arange(m),
         )

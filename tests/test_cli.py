@@ -77,6 +77,17 @@ def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, k
     assert repr(key) in err and (section is None or repr(section) in err)
 
 
+@pytest.mark.parametrize("key,value", [("n_folds", 0), ("n_folds", 1), ("max_iterations", -1)])
+def test_bad_attack_settings_exit_1(workspace, tmp_path, capsys, key, value):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    payload["attack"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert cli_main(["attack", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: attack needs")
+
+
 def test_int_accepted_where_float_declared(workspace, tmp_path):
     _, cfg = workspace
     payload = json.loads(cfg.read_text())
@@ -127,6 +138,35 @@ def test_attack_and_rec_eval(workspace):
     assert cli_main(["rec-eval", "--config", str(cfg)]) == 0
     rec = json.loads((root / "out" / "rec_report.json").read_text())
     assert 0.0 <= rec["ndcg_at_k"] <= rec["hr_at_k"] <= 1.0
+
+
+def test_corrupt_embeddings_file_exit_1(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    assert cli_main(["dp", "--config", str(cfg), "--sigma", "0", "--seed", "1"]) == 0
+    blob = bytearray((root / "out" / "dp_sigma_0.emb").read_bytes())
+    blob[30] ^= 0xFF
+    bad = tmp_path / "flipped.emb"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert cli_main(["attack", "--config", str(cfg), "--embeddings", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checksum mismatch" in err
+
+
+def test_retrain_in_same_dir_recalibrates(workspace, tmp_path):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    payload["store_dir"] = ""
+    counts = []
+    for epochs in (1, 2):
+        payload["cf"]["epochs"] = epochs
+        path = tmp_path / f"epochs{epochs}.json"
+        path.write_text(json.dumps(payload))
+        assert cli_main(["combine", "--config", str(path), "--attrs", "gender"]) == 0
+        report = json.loads((tmp_path / "out" / "combine_report.json").read_text())
+        counts.append((report["calibrations_executed"], report["cache_hits"]))
+    assert counts == [(1, 0), (1, 0)]
 
 
 def test_scenario_subcommand(workspace):

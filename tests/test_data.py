@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from attrunlearn import data
-from _oracles import linear_probe_bacc, reference_split
+from _oracles import (
+    linear_probe_bacc, reference_align, reference_bin_attributes, reference_split,
+)
 from _surrogate import generate_ml100k_like
 
 ML100K_DIR = os.environ.get("ML100K_DIR", "")
 HAVE_ML100K = bool(ML100K_DIR) and Path(ML100K_DIR, "u.data").exists()
+
+
+def train_item_sets(dataset) -> list[set[int]]:
+    """Each dense user's train items, read from ``train_pairs``."""
+    sets = [set() for _ in range(dataset.n_users)]
+    for user, item in np.asarray(dataset.train_pairs).tolist():
+        sets[user].add(item)
+    return sets
 
 
 def write_fixture(tmp_path, ratings, users):
@@ -34,7 +44,7 @@ class TestLoaders:
         dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS[:3], FIXTURE_USERS)
         raw = data.load_ml100k(dpath, upath)
         assert len(raw.ratings) == 3
-        assert len(raw.users) == 3
+        assert len(raw.user_ids) == 3
 
     def test_empty_file_rejected(self, tmp_path):
         dpath = tmp_path / "u.data"
@@ -72,14 +82,15 @@ class TestLoaders:
         upath.write_text("1::F::1::10::48067\n2::M::56::16::70072\n")
         raw = data.load_ml1m(rpath, upath)
         assert len(raw.ratings) == 2
-        assert raw.users[1].gender == "F"
-        assert raw.users[2].age == 56
+        assert raw.user_ids.tolist() == [1, 2]
+        assert raw.genders[0] == "F"
+        assert raw.ages[1] == 56
 
     @pytest.mark.skipif(not HAVE_ML100K, reason="official ML-100K not present")
     def test_official_ml100k_counts(self):
         raw = data.load_ml100k(Path(ML100K_DIR, "u.data"), Path(ML100K_DIR, "u.user"))
         assert len(raw.ratings) == 100_000
-        assert len(raw.users) == 943
+        assert len(raw.user_ids) == 943
         assert len(np.unique(raw.ratings[:, 1])) == 1682
         dataset = data.preprocess_split(raw)
         assert dataset.n_users == 943  # every user has >=20 ratings
@@ -143,7 +154,7 @@ class TestSplit:
         dataset = data.preprocess_split(data.load_ml100k(dpath, upath))
         assert len(dataset.test_items) == dataset.n_users
         for u in range(dataset.n_users):
-            assert dataset.test_items[u] not in dataset.train_item_sets[u]
+            assert dataset.test_items[u] not in train_item_sets(dataset)[u]
 
     def test_reindex_bijective(self, tmp_path):
         dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS, FIXTURE_USERS)
@@ -174,7 +185,7 @@ def assert_same_split(got, want):
     for name in ("train_pairs", "test_items", "user_ids", "item_ids"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.train_item_sets == want.train_item_sets
+    assert train_item_sets(got) == train_item_sets(want)
     assert got.fingerprint() == want.fingerprint()
 
 
@@ -197,7 +208,7 @@ class TestSplitOracle:
         got, want = data.preprocess_split(raw), reference_split(raw)
         assert_same_split(got, want)
         if case == "only_test_item":
-            assert got.train_item_sets[-1] == set()
+            assert train_item_sets(got)[-1] == set()
         if case == "light_user":
             assert 5 not in got.user_ids and 3 not in got.user_ids
 
@@ -207,13 +218,110 @@ class TestSplitOracle:
         assert_same_split(data.preprocess_split(raw), reference_split(raw))
 
 
+def assert_same_table(got, want):
+    assert got.names == want.names
+    for a, b in zip([got.user_ids] + [x.labels for x in got.attributes],
+                    [want.user_ids] + [x.labels for x in want.attributes]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert [x.cardinality for x in got.attributes] == [x.cardinality for x in want.attributes]
+
+
+def write_ml1m_users(tmp_path, rng, n_users=200):
+    """ML-1M ratings/users files: shuffled user lines, every age bin and code 0..20."""
+    ids = rng.permutation(np.arange(1, 3 * n_users, 3))[:n_users]
+    ages = rng.choice([1, 18, 24, 25, 35, 36, 45, 50, 56], n_users)
+    genders = rng.choice(["M", "F", " f", "m "], n_users)
+    codes = np.arange(n_users) % 21
+    upath = tmp_path / "users.dat"
+    upath.write_text("".join(f"{u}::{g}::{a}::{c}::00000\n"
+                             for u, g, a, c in zip(ids, genders, ages, codes)))
+    rpath = tmp_path / "ratings.dat"
+    rpath.write_text("".join(f"{u}::{i}::4::{t}\n" for t, u in enumerate(ids[: n_users // 2])
+                             for i in range(6)))
+    return rpath, upath
+
+
+class TestBinningOracle:
+    """``bin_attributes`` and ``AttributeTable.align`` against the per-user loop."""
+
+    MIXED_USERS = [(7, 40, "m", "writer"), (3, 27, " F", "none "), (5, 28, "M ", " student"),
+                   (1, 41, "f", "administrator"), (2, 18, "M", "technician")]
+
+    @pytest.mark.parametrize("users", [FIXTURE_USERS, MIXED_USERS])
+    def test_matches_reference_on_fixture(self, tmp_path, users):
+        dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS, users)
+        raw = data.load_ml100k(dpath, upath)
+        dataset = data.preprocess_split(raw)
+        assert_same_table(data.bin_attributes(raw, "ml-100k"),
+                          reference_bin_attributes(raw, "ml-100k"))
+        assert_same_table(data.bin_attributes(raw, "ml-100k", dataset),
+                          reference_bin_attributes(raw, "ml-100k", dataset))
+
+    def test_matches_reference_on_surrogate(self, tmp_path):
+        root = generate_ml100k_like(tmp_path / "ml100k")
+        raw = data.load_ml100k(root / "u.data", root / "u.user")
+        dataset = data.preprocess_split(raw)
+        assert_same_table(data.bin_attributes(raw, "ml-100k", dataset),
+                          reference_bin_attributes(raw, "ml-100k", dataset))
+
+    def test_matches_reference_on_ml1m(self, tmp_path):
+        raw = data.load_ml1m(*write_ml1m_users(tmp_path, np.random.default_rng(4)))
+        dataset = data.preprocess_split(raw)
+        assert dataset.n_users < len(raw.user_ids)  # alignment drops users
+        assert_same_table(data.bin_attributes(raw, "ml-1m"), reference_bin_attributes(raw, "ml-1m"))
+        assert_same_table(data.bin_attributes(raw, "ml-1m", dataset),
+                          reference_bin_attributes(raw, "ml-1m", dataset))
+
+    def test_align_matches_reference_on_unsorted_and_repeated_ids(self, tmp_path):
+        rng = np.random.default_rng(8)
+        raw = data.load_ml1m(*write_ml1m_users(tmp_path, rng))
+        dataset = data.preprocess_split(raw)
+        ids = rng.permutation(np.append(raw.user_ids, raw.user_ids[:20]))  # 20 ids twice
+        labels = rng.integers(0, 4, len(ids))
+        table = data.AttributeTable([data.Attribute("region", 4, labels)], ids)
+        assert_same_table(table.align(dataset), reference_align(table, dataset))
+
+    @pytest.mark.parametrize("tag,users,message", [
+        ("ml-100k", [(1, 30, "M", "student"), (2, 30, "X", "student")],
+         "user 2: unknown gender 'X'"),
+        ("ml-100k", [(1, 30, "M", "student"), (4, 30, "F", " pilot")],
+         "user 4: unknown occupation 'pilot'"),
+        ("ml-1m", [(1, 30, "M", "20"), (9, 30, "F", "21")], "user 9: occupation code 21 outside"),
+        ("ml-1m", [(3, 30, "M", "-1"), (9, 30, "F", "2")], "user 3: occupation code -1 outside"),
+    ])
+    def test_bad_value_names_user_and_value(self, tmp_path, tag, users, message):
+        dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS[:3], users)
+        raw = data.load_ml100k(dpath, upath)
+        with pytest.raises(ValueError, match=message) as got:
+            data.bin_attributes(raw, tag)
+        with pytest.raises(ValueError) as want:
+            reference_bin_attributes(raw, tag)
+        assert str(got.value) == str(want.value)
+
+    def test_duplicate_user_id_rejected(self, tmp_path):
+        users = [(1, 30, "M", "student"), (2, 30, "F", "writer"), (1, 31, "F", "writer")]
+        dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS[:3], users)
+        with pytest.raises(ValueError, match="user id 1 listed more than once"):
+            data.load_ml100k(dpath, upath)
+
+    def test_align_missing_user_rejected(self, tmp_path):
+        dpath, upath = write_fixture(tmp_path, FIXTURE_RATINGS, FIXTURE_USERS)
+        raw = data.load_ml100k(dpath, upath)
+        dataset = data.preprocess_split(raw)
+        table = data.AttributeTable([data.Attribute("g", 2, [0, 1])], np.array([2, 9]))
+        with pytest.raises(ValueError, match=r"no attribute labels for raw users \[1\]$"):
+            table.align(dataset)
+        with pytest.raises(ValueError, match=r"no attribute labels for raw users \[1\]$"):
+            reference_align(table, dataset)
+
+
 def synthetic_digest(*args, **kwargs):
     dataset, table = data.synthetic_dataset(*args, **kwargs)
     h = hashlib.sha256()
     for a in (dataset.train_pairs, dataset.test_items, dataset.oracle_embeddings,
               dataset.oracle_item_embeddings, *(a.labels for a in table.attributes)):
         h.update(np.ascontiguousarray(a).tobytes())
-    h.update(repr([sorted(s) for s in dataset.train_item_sets]).encode())
+    h.update(repr([sorted(s) for s in train_item_sets(dataset)]).encode())
     return h.hexdigest()[:16]
 
 

@@ -185,7 +185,6 @@ def ranking_fixture():
         n_items=6,
         train_pairs=np.empty((0, 2), dtype=np.int64),
         test_items=np.array([2]),
-        train_item_sets=[set()],
         user_ids=np.arange(1),
         item_ids=np.arange(6),
     )
@@ -214,7 +213,6 @@ class TestHrNdcg:
             n_items=12,
             train_pairs=np.empty((0, 2), dtype=np.int64),
             test_items=np.array([11]),
-            train_item_sets=[set()],
             user_ids=np.arange(1),
             item_ids=np.arange(12),
         )
@@ -226,7 +224,6 @@ class TestHrNdcg:
     def test_train_items_excluded_from_ranking(self):
         item_emb, dataset = ranking_fixture()
         dataset.train_pairs = np.array([[0, 0], [0, 1]])
-        dataset.train_item_sets = [{0, 1}]
         U = np.array([[9.0, 8.0, 7.0, 0.0, 0.0, 0.0]])
         rep = hr_ndcg_at_k(U, item_emb, dataset, k=1)
         assert rep.hr == 1.0  # items 0,1 masked away, test item tops the list

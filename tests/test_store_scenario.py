@@ -144,8 +144,8 @@ class TestRunScenario:
         script = ScenarioScript([["attr0"]])
         run_scenario(config, script, dataset, table, model)
         store = EmbeddingStore(config.store_dir)
-        key = store.key(dataset.fingerprint(), "attr0", config.calibration.hash())
-        entry = store._load_manifest()[key]
+        key = store.key(model.user_embeddings, table.entries(["attr0"]), config.calibration.hash())
+        entry = store._load_manifest()[key["attr0"]]
         blob = bytearray((store.directory / entry["file"]).read_bytes())
         blob[30] ^= 0xFF
         (store.directory / entry["file"]).write_bytes(bytes(blob))
@@ -155,6 +155,44 @@ class TestRunScenario:
             reports = run_scenario(config, script, dataset, table, model)
         assert reports[0].calibrations_executed == 1
         assert "recalibrating" in caplog.text
+
+    def test_retrained_model_recalibrates(self, tmp_path):
+        config, dataset, table, model = make_pipeline(tmp_path)
+        script = ScenarioScript([["attr0"]])
+        run_scenario(config, script, dataset, table, model)
+        retrained = cf.CFModel(model.user_embeddings * 1.01, model.item_embeddings)
+        reports = run_scenario(config, script, dataset, table, retrained)
+        assert (reports[0].calibrations_executed, reports[0].cache_hits) == (1, 0)
+        reports = run_scenario(config, script, dataset, table, model)
+        assert (reports[0].calibrations_executed, reports[0].cache_hits) == (0, 1)
+
+    def test_permuted_labels_recalibrate(self, tmp_path):
+        config, dataset, table, model = make_pipeline(tmp_path)
+        script = ScenarioScript([["attr0", "attr1"]])
+        run_scenario(config, script, dataset, table, model)
+        attr0 = table.get("attr0")
+        permuted = np.random.default_rng(5).permutation(attr0.labels)
+        relabelled = data.AttributeTable(
+            [data.Attribute("attr0", attr0.cardinality, permuted), table.get("attr1")],
+            table.user_ids,
+        )
+        reports = run_scenario(config, script, dataset, relabelled, model)
+        assert (reports[0].calibrations_executed, reports[0].cache_hits) == (1, 1)
+
+    def test_key_covers_matrix_labels_and_cardinality(self):
+        U0 = np.arange(12.0).reshape(6, 2)
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        key = EmbeddingStore.key(U0, [("g", labels, 2)], "cfg")["g"]
+        assert key.split("__")[1:] == ["g", "cfg"]
+        variants = [
+            (U0 + 1e-12, labels, 2),
+            (U0.reshape(4, 3), labels, 2),
+            (U0, labels[::-1], 2),
+            (U0, labels, 3),
+        ]
+        for matrix, other_labels, cardinality in variants:
+            assert EmbeddingStore.key(matrix, [("g", other_labels, cardinality)], "cfg")["g"] != key
+        assert EmbeddingStore.key(U0.copy(), [("g", labels.astype(np.int32), 2)], "cfg")["g"] == key
 
     def test_unknown_attribute_rejected(self, tmp_path):
         config, dataset, table, model = make_pipeline(tmp_path)
