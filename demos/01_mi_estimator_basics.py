@@ -34,5 +34,5 @@ for name, table in joints.items():
 # is what drives the unlearning steps elsewhere in the package
 x, y = mi.DiscreteJoint(joints["dependent 2x2"]).sample(64, rng)
 model = mi.make_variational_model(2, 2, seed=3)
-grads = mi.vclub_input_gradient(model, x, y)
+_, grads = mi.contrastive_step(model, x, y)
 print(f"\ninput gradient shape {grads.shape}, mean magnitude {np.abs(grads).mean():.2e}")

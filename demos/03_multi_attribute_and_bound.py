@@ -30,7 +30,7 @@ calib = calibration.CalibrationConfig(
 comb = combination.CombinationConfig(iterations=150, batch_size=256, seed=31)
 
 results = calibration.calibrate_many(U0, entries, calib, parallelism=2)
-ordered = [results[name] for name, _, _ in entries]
+ordered = [results[name].embeddings for name, _, _ in entries]
 
 optimized = combination.optimize_weights(ordered, entries, comb)
 averaged = combination.average_combination(ordered, entries)

@@ -15,7 +15,7 @@ from .calibration import (
     calibrate_many,
     project_ball,
 )
-from .cf import CFModel, CFTrainConfig, score_user, top_k, train_cf
+from .cf import CFModel, CFTrainConfig, train_cf
 from .combination import (
     BoundCheckReport,
     CombinationConfig,
@@ -52,7 +52,6 @@ from .evaluation import (
 )
 from .mi import (
     DiscreteJoint,
-    MIEstimate,
     VariationalModel,
     contrastive_step,
     discrete_mi_oracle,
@@ -60,13 +59,11 @@ from .mi import (
     fit_variational_step,
     make_variational_model,
     mi_over_embedding,
-    vclub_input_gradient,
 )
 from .nets import (
     DenseNetwork,
     GradientBundle,
     OptimizerState,
-    backward,
     forward,
     forward_backward,
     gradient_check,

@@ -145,40 +145,6 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
     )
 
 
-def score_user(model: CFModel, user: int) -> np.ndarray:
-    """Dot-product scores of one user against every item."""
-    if not 0 <= user < len(model.user_embeddings):
-        raise IndexError(f"user {user} out of range")
-    return model.user_embeddings[user] @ model.item_embeddings.T
-
-
-def top_k(model_or_embeddings, user: int, k: int, exclusions=frozenset()) -> np.ndarray:
-    """Top-k item ids for a user, descending score, ties to the smaller id.
-
-    Accepts either a CFModel or a ``(user_embeddings, item_embeddings)`` pair,
-    so rankings can be produced for calibrated/combined user matrices without
-    touching the item side.
-    """
-    if isinstance(model_or_embeddings, CFModel):
-        user_emb, item_emb = model_or_embeddings.user_embeddings, model_or_embeddings.item_embeddings
-    else:
-        user_emb, item_emb = model_or_embeddings
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 <= user < len(user_emb):
-        raise IndexError(f"user {user} out of range")
-    m = len(item_emb)
-    available = m - len(exclusions)
-    if k > available:
-        raise ValueError(f"k={k} exceeds {available} rankable items")
-    scores = user_emb[user] @ item_emb.T
-    if exclusions:
-        scores = scores.copy()
-        scores[list(exclusions)] = -np.inf
-    order = np.lexsort((np.arange(m), -scores))
-    return order[:k]
-
-
 def save_model(model: CFModel, path) -> None:
     n, d = model.user_embeddings.shape
     m = model.item_embeddings.shape[0]

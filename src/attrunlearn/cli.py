@@ -87,6 +87,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     config = Config.from_json(args.config)
+    # a malformed script fails before the data is loaded or a model trained
+    script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
     dataset, table = load_dataset(config)
 
     if args.command == "train":
@@ -151,7 +153,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "scenario":
-        script = ScenarioScript.from_json(args.script)
         reports = run_scenario(config, script, dataset, table, model)
         _write_report(
             config,

@@ -16,7 +16,6 @@ import numpy as np
 from . import mi
 from .calibration import (
     CalibrationConfig,
-    CalibrationResult,
     HashedConfig,
     _attribute_seed,
     project_ball,
@@ -43,20 +42,8 @@ class CombinationResult:
     alpha: np.ndarray
     embeddings: np.ndarray  # weighted combination under alpha
     attributes: list[str]
-    per_attribute_mi: dict[str, float]
     mi_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     alpha_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha.tolist(),
-                "attributes": self.attributes,
-                "per_attribute_mi": self.per_attribute_mi,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 @dataclass
@@ -167,24 +154,26 @@ def _weight_step(models: list, mats: list, labels: list, alpha: np.ndarray, idx:
 
 
 def optimize_weights(
-    calibrated: list[CalibrationResult],
+    mats: list[np.ndarray],
     attributes: list[tuple[str, np.ndarray, int]],
     config: CombinationConfig,
 ) -> CombinationResult:
-    """Descend the summed MI estimate over the simplex weights.
+    """Descend the summed MI estimate over the simplex weights of the
+    calibrated matrices ``mats``, one per attribute entry.
 
     Weights start uniform. Per iteration: sample a batch of combined rows,
     one ascent step for each attribute's classifier, then a plain gradient
     step on the weights followed by the softmax projection. The weight
     gradient is the batch inner product between the estimate's embedding
-    gradient and each component matrix.
+    gradient and each component matrix. Returns the weights, the release
+    (the matrices combined under them) and the per-iteration summed
+    estimate and weight traces.
     """
-    if len(calibrated) == 0:
+    if len(mats) == 0:
         raise ValueError("need at least one calibrated embedding")
-    if len(calibrated) != len(attributes):
+    if len(mats) != len(attributes):
         raise ValueError("one attribute entry per calibrated embedding required")
     names, labels, cards = _label_arrays(attributes)
-    mats = [c.embeddings for c in calibrated]
     n, d = mats[0].shape
     for lab in labels:
         if len(lab) != n:
@@ -203,42 +192,28 @@ def optimize_weights(
         mi_trace.append(total)
         alpha_trace.append(alpha.copy())
 
-    combined = combine(mats, alpha)
-    final_rng = np.random.default_rng(_attribute_seed(config.seed, "final-eval"))
-    per_attr = {
-        names[t]: mi.mi_over_embedding(
-            models[t], combined, labels[t], config.batch_size, passes=1, rng=final_rng
-        )
-        for t in range(k)
-    }
     return CombinationResult(
         alpha=alpha,
-        embeddings=combined,
+        embeddings=combine(mats, alpha),
         attributes=names,
-        per_attribute_mi=per_attr,
         mi_trace=np.array(mi_trace),
         alpha_trace=np.array(alpha_trace) if alpha_trace else np.empty((0, k)),
     )
 
 
 def average_combination(
-    calibrated: list[CalibrationResult],
+    mats: list[np.ndarray],
     attributes: list[tuple[str, np.ndarray, int]] | None = None,
 ) -> CombinationResult:
-    """Uniform-weight ablation: plain average of the calibrated embeddings."""
-    if len(calibrated) == 0:
+    """Uniform-weight ablation: plain average of the calibrated matrices.
+
+    The result names the attributes only when their entries are given.
+    """
+    if len(mats) == 0:
         raise ValueError("need at least one calibrated embedding")
-    k = len(calibrated)
-    alpha = np.full(k, 1.0 / k)
-    names = [c.attribute for c in calibrated]
-    if attributes is not None:
-        names = [a[0] for a in attributes]
-    return CombinationResult(
-        alpha=alpha,
-        embeddings=combine([c.embeddings for c in calibrated], alpha),
-        attributes=names,
-        per_attribute_mi={},
-    )
+    alpha = np.full(len(mats), 1.0 / len(mats))
+    names = [a[0] for a in attributes] if attributes is not None else []
+    return CombinationResult(alpha=alpha, embeddings=combine(mats, alpha), attributes=names)
 
 
 def summed_mi_estimate(
@@ -335,7 +310,7 @@ def bound_check(
     results = calibrate_many(
         U0, attributes, calib_config, parallelism=parallelism
     )
-    ordered = [results[name] for name, _, _ in attributes]
+    ordered = [results[name].embeddings for name, _, _ in attributes]
     two_step = optimize_weights(ordered, attributes, comb_config)
     p1 = summed_mi_estimate(two_step.embeddings, attributes, seed=calib_config.seed)
     _, _, p2 = joint_unlearn(U0, attributes, calib_config, alpha_step=comb_config.step_size)

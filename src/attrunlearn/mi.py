@@ -32,13 +32,6 @@ class VariationalModel:
 
 
 @dataclass
-class MIEstimate:
-    value: float  # nats
-    batch_size: int
-    iteration: int = 0
-
-
-@dataclass
 class DiscreteJoint:
     """Exact joint probability table over (x-category, y-category)."""
 
@@ -93,11 +86,6 @@ def fit_variational_step(
     return loss
 
 
-def log_conditional(model: VariationalModel, embeddings: np.ndarray) -> np.ndarray:
-    """log q(y | x) for every class, rows aligned with the batch."""
-    return nets.log_softmax(nets.forward(model.network, embeddings))
-
-
 def vclub_from_logprobs(logp: np.ndarray, labels: np.ndarray) -> float:
     """In-batch contrastive estimate from a (B, p) log-probability matrix.
 
@@ -122,14 +110,12 @@ def vclub_logprob_gradient(logp_shape: tuple[int, int], labels: np.ndarray) -> n
     return grad
 
 
-def estimate_vclub(
-    model: VariationalModel, embeddings: np.ndarray, labels: np.ndarray, iteration: int = 0
-) -> MIEstimate:
-    """Evaluate the contrastive upper-bound estimate on one batch (no mutation)."""
+def estimate_vclub(model: VariationalModel, embeddings: np.ndarray, labels: np.ndarray) -> float:
+    """The contrastive upper-bound estimate on one batch, in nats (no mutation)."""
     if len(embeddings) < 2:
         raise ValueError("need a batch of at least 2 rows")
-    logp = log_conditional(model, embeddings)
-    return MIEstimate(vclub_from_logprobs(logp, labels), len(embeddings), iteration)
+    logp = nets.log_softmax(nets.forward(model.network, embeddings))
+    return vclub_from_logprobs(logp, labels)
 
 
 def contrastive_step(
@@ -151,13 +137,6 @@ def contrastive_step(
 
     estimate, bundle = nets.forward_backward(model.network, embeddings, vclub_head)
     return estimate, bundle.input_grads
-
-
-def vclub_input_gradient(
-    model: VariationalModel, embeddings: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Gradient of the batch estimate with respect to each embedding row."""
-    return contrastive_step(model, embeddings, labels)[1]
 
 
 def discrete_mi_oracle(joint: DiscreteJoint | np.ndarray) -> float:
@@ -231,5 +210,5 @@ def mi_over_embedding(
             idx = order[start : start + batch_size]
             if len(idx) < 2:
                 continue
-            values.append(estimate_vclub(model, embeddings[idx], labels[idx]).value)
+            values.append(estimate_vclub(model, embeddings[idx], labels[idx]))
     return float(np.mean(values))

@@ -6,8 +6,7 @@ hand-written and verifiable against central differences via
 :func:`gradient_check`.
 
 Training loops call :func:`forward_backward`, which backpropagates through the
-activations of the one forward pass that produced the logits. :func:`backward`
-takes a batch rather than activations, so it runs the forward pass again.
+activations of the one forward pass that produced the logits.
 """
 
 from __future__ import annotations
@@ -116,7 +115,8 @@ def _forward_cached(net: DenseNetwork, batch: np.ndarray):
     inputs, preacts = [], []
     for layer in net.layers:
         inputs.append(h)
-        z = h @ layer.weights.T + layer.biases
+        z = h @ layer.weights.T
+        z += layer.biases
         preacts.append(z)
         h = _activate(z, layer.activation)
     return h, inputs, preacts
@@ -172,25 +172,20 @@ def forward_backward(
     if logit_grads.shape != logits.shape:
         raise ValueError(f"upstream shape {logit_grads.shape} != {logits.shape}")
     delta = np.asarray(logit_grads, dtype=np.float64)
+    last = len(net.layers) - 1
     param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         layer = net.layers[i]
         if layer.activation == RELU:
-            delta = delta * (preacts[i] > 0)
+            # below the output layer delta is this loop's own array
+            if i == last:
+                delta = delta * (preacts[i] > 0)
+            else:
+                delta *= preacts[i] > 0
         param_grads[2 * i] = delta.T @ inputs[i]
         param_grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ layer.weights
     return value, GradientBundle(param_grads=param_grads, input_grads=delta)
-
-
-def backward(net: DenseNetwork, batch: np.ndarray, logit_grads: np.ndarray) -> GradientBundle:
-    """Backpropagate upstream logit gradients to parameter and input gradients.
-
-    Recomputes the forward pass; loops that already hold the logits use
-    :func:`forward_backward`.
-    """
-    _, bundle = forward_backward(net, batch, lambda logits: (None, logit_grads))
-    return bundle
 
 
 def optimizer_step(

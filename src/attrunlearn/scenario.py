@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, CalibrationResult, calibrate
+from .calibration import CalibrationConfig, calibrate
 from .cf import CFModel, CFTrainConfig, load_model, save_model, train_cf
 from .combination import CombinationConfig, optimize_weights
 from .data import (
@@ -54,23 +54,26 @@ class ScenarioScript:
     requests: list[list[str]]
 
     def __post_init__(self):
-        if not self.requests:
-            raise ValueError("script has no requests")
+        if not isinstance(self.requests, list) or not self.requests:
+            raise ValueError("script requests must be a non-empty list")
         normalized = []
         for i, req in enumerate(self.requests):
-            attrs = sorted(set(req))
-            if not attrs:
+            if not isinstance(req, list) or not all(isinstance(a, str) for a in req):
+                raise ValueError(f"request {i} must be a list of attribute names")
+            if not req:
                 raise ValueError(f"request {i} is empty")
-            normalized.append(attrs)
+            normalized.append(sorted(set(req)))
         self.requests = normalized
 
     @classmethod
     def from_json(cls, path) -> "ScenarioScript":
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("script must be a JSON object")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported script schema {payload.get('schema_version')}")
-        return cls(payload["requests"])
+        return cls(payload.get("requests"))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -271,42 +274,29 @@ def run_scenario(
                     log.warning("store entry for %r unusable (%s); recalibrating", name, exc)
             to_run.append(name)
 
-        def calibrate_one(name: str) -> tuple[str, CalibrationResult]:
+        def calibrate_one(name: str) -> tuple[str, np.ndarray]:
             a = attributes.get(name)
             result = calibrate(
                 U0, a.labels, config.calibration, attribute=name, cardinality=a.cardinality
             )
-            return name, result
+            return name, result.embeddings
 
-        fresh: dict[str, CalibrationResult] = {}
+        fresh: dict[str, np.ndarray] = {}
         if to_run:
             if config.workers > 1 and len(to_run) > 1:
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
                     fresh = dict(pool.map(calibrate_one, to_run))
             else:
                 fresh = dict(calibrate_one(name) for name in to_run)
-            for name, result in fresh.items():
-                store.put(keys[name], result.embeddings)
+            for name, matrix in fresh.items():
+                store.put(keys[name], matrix)
         t_calib = time.perf_counter() - t_unlearn
 
-        calibrated = []
-        for name in request:
-            if name in fresh:
-                calibrated.append(fresh[name])
-            else:
-                calibrated.append(
-                    CalibrationResult(
-                        embeddings=cached[name],
-                        attribute=name,
-                        mi_trace=np.empty(0),
-                        nll_trace=np.empty(0),
-                        distance_trace=np.empty(0),
-                        config_hash=cfg_hash,
-                    )
-                )
         t0 = time.perf_counter()
         combo = optimize_weights(
-            calibrated, attributes.entries(request), config.combination
+            [fresh[name] if name in fresh else cached[name] for name in request],
+            attributes.entries(request),
+            config.combination,
         )
         t_comb = time.perf_counter() - t0
         unlearn_seconds = time.perf_counter() - t_unlearn

@@ -1,8 +1,11 @@
 """Independent test oracles kept deliberately separate from the library paths."""
 
+import hashlib
+
 import numpy as np
 
 from attrunlearn import calibration, mi, nets
+from attrunlearn.cf import CFModel
 from attrunlearn.data import ML100K_OCCUPATIONS, Attribute, AttributeTable, InteractionDataset
 from attrunlearn.evaluation import bacc
 
@@ -16,6 +19,64 @@ def random_kink_free_net(rng, sizes=None):
     for layer in net.layers:
         layer.biases += 0.1 * rng.standard_normal(layer.biases.shape)
     return net
+
+
+def float_digest(*arrays) -> str:
+    """SHA-256 over the float64 bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def reference_forward_backward(net, batch, logit_grads):
+    """Out-of-place forward pass and backpropagation of ``logit_grads``.
+
+    Every pre-activation and every masked delta is a new array; returns the
+    [dW0, db0, ...] list and the input gradients.
+    """
+    h = np.asarray(batch, dtype=np.float64)
+    inputs, preacts = [], []
+    for layer in net.layers:
+        inputs.append(h)
+        z = h @ layer.weights.T + layer.biases
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == nets.RELU else z
+    delta = np.asarray(logit_grads, dtype=np.float64)
+    param_grads = [None] * (2 * len(net.layers))
+    for i in range(len(net.layers) - 1, -1, -1):
+        if net.layers[i].activation == nets.RELU:
+            delta = delta * (preacts[i] > 0)
+        param_grads[2 * i] = delta.T @ inputs[i]
+        param_grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ net.layers[i].weights
+    return param_grads, delta
+
+
+def top_k(model_or_embeddings, user: int, k: int, exclusions=frozenset()) -> np.ndarray:
+    """Top-k item ids for one user by dot-product score, descending, ties to
+    the smaller id; ``exclusions`` are never ranked.
+
+    Takes a CFModel or a ``(user_embeddings, item_embeddings)`` pair. It is the
+    per-user ranking rule that ``hr_ndcg_at_k`` computes in blocks.
+    """
+    if isinstance(model_or_embeddings, CFModel):
+        user_emb, item_emb = model_or_embeddings.user_embeddings, model_or_embeddings.item_embeddings
+    else:
+        user_emb, item_emb = model_or_embeddings
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0 <= user < len(user_emb):
+        raise IndexError(f"user {user} out of range")
+    m = len(item_emb)
+    available = m - len(exclusions)
+    if k > available:
+        raise ValueError(f"k={k} exceeds {available} rankable items")
+    scores = user_emb[user] @ item_emb.T
+    if exclusions:
+        scores[list(exclusions)] = -np.inf
+    order = np.lexsort((np.arange(m), -scores))
+    return order[:k]
 
 
 def kink_free_net_instance(rng):
@@ -50,10 +111,15 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
     """Calibration loop built from the public recomputing primitives.
 
     Every classifier step and every row gradient calls ``nets.forward`` and
-    then ``nets.backward`` (which runs the forward pass again), and the value
-    comes from ``mi.estimate_vclub``: five forward passes per iteration with
-    one ascent step. Returns (embeddings, mi, nll and distance traces).
+    then backpropagates through a second forward pass in
+    ``nets.forward_backward``, and the value comes from ``mi.estimate_vclub``:
+    five forward passes per iteration with one ascent step. Returns
+    (embeddings, mi, nll and distance traces).
     """
+
+    def backward(net, batch, logit_grads):
+        return nets.forward_backward(net, batch, lambda _: (None, logit_grads))[1]
+
     labels = np.asarray(labels, dtype=np.int64)
     if cardinality is None:
         cardinality = int(labels.max()) + 1
@@ -74,14 +140,14 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
         batch, y = U[idx], labels[idx]
         for _ in range(config.inner_steps):
             nll, logit_grads = nets.log_softmax_nll(nets.forward(net, batch), y)
-            grads = nets.backward(net, batch, logit_grads).param_grads
+            grads = backward(net, batch, logit_grads).param_grads
             nets.optimizer_step(model.optimizer, net.parameters(), grads)
-        estimate = mi.estimate_vclub(model, batch, y).value
+        estimate = mi.estimate_vclub(model, batch, y)
         logp = nets.log_softmax(nets.forward(net, batch))
         g = mi.vclub_logprob_gradient(logp.shape, y)
         logit_grads = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
         full = np.zeros_like(U)
-        full[idx] = nets.backward(net, batch, logit_grads).input_grads
+        full[idx] = backward(net, batch, logit_grads).input_grads
         nets.optimizer_step(emb_opt, [U], [full])
         U = calibration.project_ball(U, U0, config.eps_ratio * n)
         mis.append(estimate)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import top_k
 from attrunlearn import cf, data
 
 
@@ -27,7 +28,7 @@ class TestTraining:
         dataset = tiny_dataset()
         config = cf.CFTrainConfig(dim=8, epochs=300, learning_rate=0.05, batch_size=8, seed=1)
         model = cf.train_cf(dataset, config)
-        scores = cf.score_user(model, 0)
+        scores = model.user_embeddings[0] @ model.item_embeddings.T
         assert scores[0] > scores[2]
 
     def test_zero_epochs_equals_initialization(self):
@@ -90,57 +91,37 @@ class TestTraining:
         assert not np.isin(keys, users * m + items.ravel()).any()
 
 
-class TestScoring:
-    def test_zero_user_embedding(self):
-        model = cf.CFModel(np.zeros((2, 4)), np.ones((5, 4)))
-        assert np.all(cf.score_user(model, 0) == 0)
-
-    def test_hand_identity_case(self):
-        model = cf.CFModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(cf.score_user(model, 0), [1.0, 0.0])
-
-    def test_matches_per_item_dots(self):
-        rng = np.random.default_rng(2)
-        model = cf.CFModel(rng.normal(size=(4, 6)), rng.normal(size=(9, 6)))
-        scores = cf.score_user(model, 3)
-        brute = np.array([model.user_embeddings[3] @ model.item_embeddings[m] for m in range(9)])
-        assert np.allclose(scores, brute)
-
-    def test_out_of_range_user(self):
-        model = cf.CFModel(np.zeros((2, 4)), np.zeros((5, 4)))
-        with pytest.raises(IndexError):
-            cf.score_user(model, 2)
-
-
 class TestTopK:
+    """The ranking oracle in ``_oracles`` that ``hr_ndcg_at_k`` is checked against."""
+
     def test_equal_scores_ascending_ids(self):
         model = cf.CFModel(np.zeros((1, 3)), np.zeros((6, 3)))
-        assert cf.top_k(model, 0, 4).tolist() == [0, 1, 2, 3]
+        assert top_k(model, 0, 4).tolist() == [0, 1, 2, 3]
 
     def test_exclusions_leave_single_item(self):
         rng = np.random.default_rng(0)
         model = cf.CFModel(rng.normal(size=(1, 3)), rng.normal(size=(5, 3)))
-        assert cf.top_k(model, 0, 1, exclusions={0, 1, 3, 4}).tolist() == [2]
+        assert top_k(model, 0, 1, exclusions={0, 1, 3, 4}).tolist() == [2]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(8)
         model = cf.CFModel(rng.normal(size=(2, 5)), rng.normal(size=(10, 5)))
-        scores = cf.score_user(model, 1)
+        scores = model.user_embeddings[1] @ model.item_embeddings.T
         oracle = sorted(range(10), key=lambda m: (-scores[m], m))
-        assert cf.top_k(model, 1, 3).tolist() == oracle[:3]
+        assert top_k(model, 1, 3).tolist() == oracle[:3]
         for k in range(1, 11):
-            assert cf.top_k(model, 1, k).tolist() == oracle[:k]
+            assert top_k(model, 1, k).tolist() == oracle[:k]
 
     def test_k_too_large(self):
         model = cf.CFModel(np.zeros((1, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            cf.top_k(model, 0, 4, exclusions={1})
+            top_k(model, 0, 4, exclusions={1})
 
     def test_accepts_embedding_pair(self):
         rng = np.random.default_rng(4)
         users, items = rng.normal(size=(2, 3)), rng.normal(size=(6, 3))
         model = cf.CFModel(users.copy(), items.copy())
-        assert np.array_equal(cf.top_k((users, items), 0, 3), cf.top_k(model, 0, 3))
+        assert np.array_equal(top_k((users, items), 0, 3), top_k(model, 0, 3))
 
 
 class TestSwapInAndCheckpoint:
@@ -149,8 +130,8 @@ class TestSwapInAndCheckpoint:
         model = cf.train_cf(dataset, cf.CFTrainConfig(dim=8, epochs=2, seed=1))
         items_before = model.item_embeddings.tobytes()
         swapped = np.random.default_rng(9).normal(size=model.user_embeddings.shape)
-        ranks_a = cf.top_k(model, 0, 5)
-        ranks_b = cf.top_k((swapped, model.item_embeddings), 0, 5)
+        ranks_a = top_k(model, 0, 5)
+        ranks_b = top_k((swapped, model.item_embeddings), 0, 5)
         assert model.item_embeddings.tobytes() == items_before
         assert ranks_a.shape == ranks_b.shape
 

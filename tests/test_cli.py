@@ -179,6 +179,26 @@ def test_scenario_subcommand(workspace):
     assert report["requests"][1]["cache_hits"] >= 1
 
 
+@pytest.mark.parametrize("script", [
+    [1, 2],
+    {"schema_version": 1, "requests": 5},
+    {"schema_version": 1, "requests": [1]},
+    {"schema_version": 1, "requests": "gender"},
+])
+def test_malformed_script_exit_1_before_training(workspace, tmp_path, capsys, script):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script))
+    assert cli_main(["scenario", "--config", str(config_path), "--script", str(script_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.cf"))
+
+
 def test_bound_check_subcommand(workspace):
     root, cfg = workspace
     assert cli_main(["bound-check", "--config", str(cfg), "--attrs", "gender,age"]) == 0

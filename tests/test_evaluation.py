@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from _oracles import reference_micro_f1
+from _oracles import float_digest, reference_micro_f1, top_k
 from attrunlearn import data, evaluation, nets
 from attrunlearn.evaluation import (
     FoldSpec,
@@ -134,6 +134,16 @@ class TestTrainAttacker:
         for la, lb in zip(a.layers, b.layers):
             assert la.weights.tobytes() == lb.weights.tobytes()
 
+    def test_seeded_weights_pinned(self):
+        dataset, table = data.synthetic_dataset(300, 100, d_signal=3, seed=23, cardinalities=(2, 3))
+        a = table.get("attr1")
+        net = train_attacker(dataset.oracle_embeddings, a.labels, a.cardinality, seed=3,
+                             max_iterations=30)
+        # any change to the arithmetic of forward_backward or Adam changes this digest
+        assert float_digest(*net.parameters()) == (
+            "620b0c3edd7c5154c40a02fec743c1e6feaaaed50f729b8f635c1e3830ef83e9"
+        )
+
 
 class TestAttackMetrics:
     def test_onehot_oracle_embeddings_near_perfect(self):
@@ -252,3 +262,19 @@ class TestHrNdcg:
             V = rng.normal(size=(40, 16))
             rep = hr_ndcg_at_k(U, V, dataset, k=10)
             assert rep.ndcg <= rep.hr + 1e-12
+
+    def test_matches_per_user_top_k_oracle_with_ties(self):
+        rng = np.random.default_rng(14)
+        dataset, _ = data.synthetic_dataset(50, 30, d_signal=2, seed=15, items_per_user=8)
+        U = rng.integers(-2, 3, size=(50, 3)).astype(float)  # small integers: many tied scores
+        V = rng.integers(-2, 3, size=(30, 3)).astype(float)
+        rep = hr_ndcg_at_k(U, V, dataset, k=5)
+        hits, gains = 0, 0.0
+        for u in range(dataset.n_users):
+            train = set(dataset.train_pairs[dataset.train_pairs[:, 0] == u, 1].tolist())
+            ranked = top_k((U, V), u, 30 - len(train), exclusions=train).tolist()
+            rank = ranked.index(int(dataset.test_items[u])) + 1
+            hits += rank <= 5
+            gains += 1.0 / np.log2(rank + 1) if rank <= 5 else 0.0
+        assert rep.hr == hits / 50
+        assert rep.ndcg == pytest.approx(gains / 50, abs=1e-12)

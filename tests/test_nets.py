@@ -3,6 +3,12 @@ import pytest
 
 from attrunlearn import nets
 from _oracles import kink_free_net_instance as safe_instance
+from _oracles import reference_forward_backward
+
+
+def backprop(net, batch, logit_grads):
+    """Parameter and input gradients of ``logit_grads`` from one forward_backward call."""
+    return nets.forward_backward(net, batch, lambda _: (None, logit_grads))[1]
 
 
 class TestInit:
@@ -93,7 +99,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_bundle(self):
         net = nets.init_network([3, 4, 2], seed=1)
         batch = np.ones((2, 3))
-        bundle = nets.backward(net, batch, np.zeros((2, 2)))
+        bundle = backprop(net, batch, np.zeros((2, 2)))
         assert all(np.all(g == 0) for g in bundle.param_grads)
         assert np.all(bundle.input_grads == 0)
 
@@ -102,7 +108,7 @@ class TestBackward:
         net = nets.DenseNetwork([nets.Layer(W.copy(), np.zeros(2), nets.IDENTITY)])
         x = np.array([[2.0, 1.0]])
         up = np.array([[1.0, -1.0]])
-        bundle = nets.backward(net, x, up)
+        bundle = backprop(net, x, up)
         assert np.allclose(bundle.param_grads[0], up.T @ x)
         assert np.allclose(bundle.param_grads[1], up[0])
         assert np.allclose(bundle.input_grads, up @ W)
@@ -111,6 +117,31 @@ class TestBackward:
         rng = np.random.default_rng(11)
         net, batch, labels = safe_instance(rng)
         assert nets.gradient_check(net, batch, labels) < 1e-4
+
+    def test_bitwise_equal_to_out_of_place_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            net, batch, _ = safe_instance(rng)
+            up = rng.standard_normal((len(batch), net.output_dim))
+            bundle = backprop(net, batch, up)
+            param_grads, input_grads = reference_forward_backward(net, batch, up)
+            for got, want in zip(bundle.param_grads, param_grads):
+                assert got.tobytes() == want.tobytes()
+            assert bundle.input_grads.tobytes() == input_grads.tobytes()
+
+    def test_relu_output_layer_leaves_logit_grads_untouched(self):
+        net = nets.init_network([3, 5, 4], seed=2)
+        net.layers[-1].activation = nets.RELU
+        rng = np.random.default_rng(3)
+        batch = rng.standard_normal((6, 3))
+        up = rng.standard_normal((6, 4))
+        before = up.copy()
+        bundle = backprop(net, batch, up)
+        assert up.tobytes() == before.tobytes()
+        param_grads, input_grads = reference_forward_backward(net, batch, before)
+        for got, want in zip(bundle.param_grads, param_grads):
+            assert got.tobytes() == want.tobytes()
+        assert bundle.input_grads.tobytes() == input_grads.tobytes()
 
 
 class TestOptimizer:
@@ -152,7 +183,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(99)
         net, batch, labels = safe_instance(rng)
         _, logit_grads = nets.log_softmax_nll(nets.forward(net, batch), labels)
-        bundle = nets.backward(net, batch, logit_grads)
+        bundle = backprop(net, batch, logit_grads)
         bundle.param_grads[0] = bundle.param_grads[0] * 1.05 + 1e-3
         assert nets.fd_relative_error(net, batch, labels, bundle) > 1e-2
 
