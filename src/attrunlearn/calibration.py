@@ -21,25 +21,14 @@ from . import mi
 from .nets import OptimizerState, optimizer_step
 
 
-class HashedConfig:
-    """Mixin for config dataclasses whose fields key cached results."""
-
-    def hash(self) -> str:
-        """First 16 hex digits of SHA-256 over the fields as sorted-key JSON."""
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()[:16]
-
-
 @dataclass
-class CalibrationConfig(HashedConfig):
+class CalibrationConfig:
     eps_ratio: float = 0.5  # epsilon = eps_ratio * n_users
     iterations: int = 2000
     batch_size: int = 256
     step_size: float = 1e-3  # Adam lr for the embeddings
     variational_lr: float = 1e-4
     inner_steps: int = 1  # classifier steps per embedding step
-    hidden: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -47,6 +36,13 @@ class CalibrationConfig(HashedConfig):
             raise ValueError("eps_ratio must be >= 0")
         if self.iterations < 0 or self.batch_size < 2 or self.inner_steps < 1:
             raise ValueError("bad iterations/batch_size/inner_steps")
+
+    def hash(self) -> str:
+        """First 16 hex digits of SHA-256 over the fields as sorted-key JSON;
+        it keys the store's calibrated matrices."""
+        return hashlib.sha256(
+            json.dumps(asdict(self), sort_keys=True).encode()
+        ).hexdigest()[:16]
 
 
 @dataclass
@@ -118,8 +114,7 @@ def calibrate(
     seed = _attribute_seed(config.seed, attribute)
     rng = np.random.default_rng(seed)
     model = mi.make_variational_model(
-        d, cardinality, seed=seed + 1, hidden=config.hidden,
-        learning_rate=config.variational_lr, attribute=attribute,
+        d, cardinality, seed=seed + 1, learning_rate=config.variational_lr, attribute=attribute
     )
     U = U0.copy()
     emb_opt = OptimizerState(learning_rate=config.step_size)

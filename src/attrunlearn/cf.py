@@ -15,6 +15,7 @@ from .data import InteractionDataset
 from .nets import OptimizerState, optimizer_step
 
 CHECKPOINT_MAGIC = b"LEGOCF01"
+_L2_WEIGHT = 1e-5  # BPR's L2 penalty on the embedding rows of each batch
 
 
 @dataclass
@@ -22,16 +23,12 @@ class CFTrainConfig:
     dim: int = 32
     epochs: int = 20
     learning_rate: float = 1e-3
-    l2_weight: float = 1e-5
-    negatives_per_positive: int = 1
     batch_size: int = 1024
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.dim, self.epochs + 1, self.negatives_per_positive, self.batch_size) <= 0:
+        if min(self.dim, self.epochs + 1, self.batch_size) <= 0 or self.learning_rate <= 0:
             raise ValueError("CF config values must be positive (epochs may be 0)")
-        if self.learning_rate <= 0 or self.l2_weight < 0:
-            raise ValueError("bad learning rate / l2 weight")
 
 
 @dataclass
@@ -115,8 +112,6 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
         order = rng.permutation(len(dataset.train_pairs))
         for start in range(0, len(order), config.batch_size):
             pairs = dataset.train_pairs[order[start : start + config.batch_size]]
-            if config.negatives_per_positive > 1:
-                pairs = np.repeat(pairs, config.negatives_per_positive, axis=0)
             u, i = pairs[:, 0], pairs[:, 1]
             j = _sample_negatives(rng, u, m, positives)
             du = item_emb[i] - item_emb[j]
@@ -124,9 +119,9 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
             coeff = -_sigmoid(-x)[:, None] / len(u)  # d(mean loss)/dx, per row
             gu = np.zeros_like(user_emb)
             gi = np.zeros_like(item_emb)
-            np.add.at(gu, u, coeff * du + (config.l2_weight / len(u)) * user_emb[u])
-            np.add.at(gi, i, coeff * user_emb[u] + (config.l2_weight / len(u)) * item_emb[i])
-            np.add.at(gi, j, -coeff * user_emb[u] + (config.l2_weight / len(u)) * item_emb[j])
+            np.add.at(gu, u, coeff * du + (_L2_WEIGHT / len(u)) * user_emb[u])
+            np.add.at(gi, i, coeff * user_emb[u] + (_L2_WEIGHT / len(u)) * item_emb[i])
+            np.add.at(gi, j, -coeff * user_emb[u] + (_L2_WEIGHT / len(u)) * item_emb[j])
             optimizer_step(state, [user_emb, item_emb], [gu, gi])
         loss = pairwise_loss(user_emb, item_emb, diag_triples)
         if not np.isfinite(loss):

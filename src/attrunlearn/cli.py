@@ -66,7 +66,7 @@ def _write_report(config: Config, name: str, payload: dict) -> Path:
     return path
 
 
-def _load_embeddings(config: Config, arg, model) -> np.ndarray:
+def _load_embeddings(arg, model) -> np.ndarray:
     if arg is None:
         return model.user_embeddings
     return read_embedding_file(arg)
@@ -90,9 +90,11 @@ def _dispatch(args) -> int:
     # a malformed script fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
     dataset, table = load_dataset(config)
+    # an attack on an embedding file needs no recommender
+    skip_model = args.command == "attack" and args.embeddings is not None
+    model = None if skip_model else ensure_model(config, dataset)
 
     if args.command == "train":
-        model = ensure_model(config, dataset)
         _write_report(
             config,
             "train_report.json",
@@ -103,8 +105,6 @@ def _dispatch(args) -> int:
             },
         )
         return 0
-
-    model = ensure_model(config, dataset)
 
     if args.command == "calibrate":
         attr = table.get(args.attr)
@@ -140,14 +140,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "attack":
-        U = _load_embeddings(config, args.embeddings, model)
+        U = _load_embeddings(args.embeddings, model)
         folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         report = attack_metrics(U, table, folds, max_iterations=config.attack.max_iterations)
         _write_report(config, "attack_report.json", json.loads(report.to_json()))
         return 0
 
     if args.command == "rec-eval":
-        U = _load_embeddings(config, args.embeddings, model)
+        U = _load_embeddings(args.embeddings, model)
         report = hr_ndcg_at_k(U, model.item_embeddings, dataset, k=config.rec_k)
         _write_report(config, "rec_report.json", json.loads(report.to_json()))
         return 0

@@ -14,22 +14,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mi
-from .calibration import (
-    CalibrationConfig,
-    HashedConfig,
-    _attribute_seed,
-    project_ball,
-)
+from .calibration import CalibrationConfig, _attribute_seed, calibrate_many, project_ball
 from .nets import OptimizerState, optimizer_step
 
 
 @dataclass
-class CombinationConfig(HashedConfig):
+class CombinationConfig:
     iterations: int = 500
     batch_size: int = 256
     step_size: float = 1e-2  # plain gradient step on the weights
     variational_lr: float = 1e-4
-    hidden: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -136,7 +130,7 @@ def _classifiers(d: int, names: list[str], cards: list[int], config, tag: str) -
     return [
         mi.make_variational_model(
             d, card, seed=_attribute_seed(config.seed, f"{tag}:{name}"),
-            hidden=config.hidden, learning_rate=config.variational_lr, attribute=name,
+            learning_rate=config.variational_lr, attribute=name,
         )
         for name, card in zip(names, cards)
     ]
@@ -216,33 +210,37 @@ def average_combination(
     return CombinationResult(alpha=alpha, embeddings=combine(mats, alpha), attributes=names)
 
 
+# the shared leakage protocol: per attribute, a fresh classifier fit for 2000
+# steps at learning rate 1e-4 on batches of 256 rows, then estimates averaged
+# over 2 shuffled full passes
+_PROTOCOL_FIT_ITERATIONS = 2000
+_PROTOCOL_BATCH_SIZE = 256
+_PROTOCOL_PASSES = 2
+_PROTOCOL_LEARNING_RATE = 1e-4
+
+
 def summed_mi_estimate(
-    U: np.ndarray,
-    attributes: list[tuple[str, np.ndarray, int]],
-    seed: int,
-    fit_iterations: int = 2000,
-    batch_size: int = 256,
-    passes: int = 2,
-    learning_rate: float = 1e-4,
+    U: np.ndarray, attributes: list[tuple[str, np.ndarray, int]], seed: int
 ) -> float:
     """Shared protocol for comparing embeddings by total leakage.
 
-    Fits a fresh classifier per attribute on U for a fixed budget, then
-    averages batch estimates over full passes and sums across attributes.
-    Identical seeds give identical values for identical U. The deliberately
-    small learning rate caps total weight movement, which keeps the fit from
-    memorizing individual rows and inflating the contrastive estimate.
+    Fits a fresh classifier per attribute on U for a fixed budget
+    (``_PROTOCOL_*``), then averages batch estimates over full passes and
+    sums across attributes. Identical seeds give identical values for
+    identical U. The deliberately small learning rate caps total weight
+    movement, which keeps the fit from memorizing individual rows and
+    inflating the contrastive estimate.
     """
     names, labels, cards = _label_arrays(attributes)
     total = 0.0
     for name, lab, card in zip(names, labels, cards):
         s = _attribute_seed(seed, f"eval:{name}")
         model = mi.make_variational_model(
-            U.shape[1], card, seed=s, learning_rate=learning_rate, attribute=name
+            U.shape[1], card, seed=s, learning_rate=_PROTOCOL_LEARNING_RATE, attribute=name
         )
         rng = np.random.default_rng(s + 1)
-        mi.fit_variational(model, U, lab, fit_iterations, batch_size, rng)
-        total += mi.mi_over_embedding(model, U, lab, batch_size, passes, rng)
+        mi.fit_variational(model, U, lab, _PROTOCOL_FIT_ITERATIONS, _PROTOCOL_BATCH_SIZE, rng)
+        total += mi.mi_over_embedding(model, U, lab, _PROTOCOL_BATCH_SIZE, _PROTOCOL_PASSES, rng)
     return total
 
 
@@ -252,16 +250,15 @@ def joint_unlearn(
     config: CalibrationConfig,
     alpha_step: float = 1e-2,
     eps: float | None = None,
-    iterations: int | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, float]:
     """End-to-end comparator: alternate ball-projected updates of every
     component matrix with softmax-projected weight updates against the summed
     estimate. Returns (component matrices, weights, total leakage of the
     combination under the shared protocol).
 
-    Component gradients carry an alpha factor (about 1/k each), so the default
-    budget is k * config.iterations to match the per-component movement the
-    two-step pipeline gets; this compares optima rather than step counts.
+    Component gradients carry an alpha factor (about 1/k each), so the budget
+    is k * config.iterations to match the per-component movement the two-step
+    pipeline gets; this compares optima rather than step counts.
     """
     names, labels, cards = _label_arrays(attributes)
     k = len(names)
@@ -270,8 +267,7 @@ def joint_unlearn(
     n, d = U0.shape
     if eps is None:
         eps = config.eps_ratio * n
-    if iterations is None:
-        iterations = k * config.iterations
+    iterations = k * config.iterations
 
     rng = np.random.default_rng(_attribute_seed(config.seed, "joint:" + "|".join(names)))
     models = _classifiers(d, names, cards, config, "joint-phi")
@@ -305,11 +301,7 @@ def bound_check(
     """Empirical two-step vs joint comparison under a shared leakage protocol."""
     if len(attributes) < 2:
         raise ValueError("bound check needs at least 2 attributes")
-    from .calibration import calibrate_many
-
-    results = calibrate_many(
-        U0, attributes, calib_config, parallelism=parallelism
-    )
+    results = calibrate_many(U0, attributes, calib_config, parallelism=parallelism)
     ordered = [results[name].embeddings for name, _, _ in attributes]
     two_step = optimize_weights(ordered, attributes, comb_config)
     p1 = summed_mi_estimate(two_step.embeddings, attributes, seed=calib_config.seed)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,15 +232,19 @@ def _leave_one_out(users, items, stamps) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack(np.divmod(keys, n_items)), test_items
 
 
-def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionDataset:
-    """Leave-one-out split: drop light users, hold out each user's latest item.
+_MIN_INTERACTIONS = 5  # preprocess_split keeps users with at least this many ratings
+
+
+def preprocess_split(raw: RawRatings) -> InteractionDataset:
+    """Leave-one-out split: drop users with fewer than ``_MIN_INTERACTIONS``
+    ratings, hold out each user's latest item.
 
     Ratings are treated as implicit positives. Timestamp ties are broken by
     the larger item id so the split is deterministic.
     """
     ratings = raw.ratings
     uids, counts = np.unique(ratings[:, 0], return_counts=True)
-    user_ids = uids[counts >= min_interactions]
+    user_ids = uids[counts >= _MIN_INTERACTIONS]
     if not len(user_ids):
         raise ValueError("no users meet the interaction threshold")
     ratings = ratings[np.isin(ratings[:, 0], user_ids)]
@@ -260,6 +264,15 @@ def preprocess_split(raw: RawRatings, min_interactions: int = 5) -> InteractionD
     )
 
 
+# synthetic_dataset's make-up: class means at 0.3 with within-class spread 0.1
+# in each attribute block, 12 attribute-free taste dimensions at unit scale,
+# and item loadings on the attribute blocks shrunk to 0.1
+_SIGNAL_SCALE = 0.3
+_BLOCK_NOISE = 0.1
+_TASTE_DIMS = 12
+_ITEM_SIGNAL_SCALE = 0.1
+
+
 def synthetic_dataset(
     n_users: int,
     n_items: int,
@@ -267,20 +280,15 @@ def synthetic_dataset(
     seed: int,
     cardinalities: tuple[int, ...] = (2,),
     items_per_user: int = 20,
-    signal_scale: float = 0.3,
-    block_noise: float = 0.1,
-    noise_scale: float = 1.0,
-    taste_dims: int = 12,
-    item_signal_scale: float = 0.1,
 ) -> tuple[InteractionDataset, AttributeTable]:
     """Deterministic test bed with attributes planted as linear latent signal.
 
     Each attribute occupies its own ``d_signal``-wide block of the user
-    preference vectors: class means drawn at ``signal_scale`` with tight
-    within-class spread ``block_noise``, so a linear probe reads the label
+    preference vectors: class means drawn at ``_SIGNAL_SCALE`` with tight
+    within-class spread ``_BLOCK_NOISE``, so a linear probe reads the label
     easily while the block stays a small fraction of the total variance. The
-    remaining ``taste_dims`` carry attribute-free taste at ``noise_scale``.
-    Items load on the signal blocks only at ``item_signal_scale`` (sensitive
+    remaining ``_TASTE_DIMS`` carry attribute-free standard-normal taste.
+    Items load on the signal blocks only at ``_ITEM_SIGNAL_SCALE`` (sensitive
     attributes are rarely the main driver of preference). With d_signal=0 the
     labels are independent of everything. The true vectors are attached to
     the returned dataset as ``oracle_embeddings`` / ``oracle_item_embeddings``;
@@ -292,7 +300,7 @@ def synthetic_dataset(
         raise ValueError("items_per_user must leave room for ranking")
     rng = np.random.default_rng(seed)
     k = len(cardinalities)
-    d_total = k * d_signal + taste_dims
+    d_total = k * d_signal + _TASTE_DIMS
 
     labels = []
     for p in cardinalities:
@@ -300,17 +308,17 @@ def synthetic_dataset(
         labels.append(lab.astype(np.int64))
 
     z = np.empty((n_users, d_total))
-    z[:, k * d_signal :] = noise_scale * rng.standard_normal((n_users, taste_dims))
+    z[:, k * d_signal :] = rng.standard_normal((n_users, _TASTE_DIMS))
     for t, p in enumerate(cardinalities):
         if d_signal == 0:
             continue
         block = slice(t * d_signal, (t + 1) * d_signal)
-        means = signal_scale * rng.standard_normal((p, d_signal))
-        z[:, block] = means[labels[t]] + block_noise * rng.standard_normal((n_users, d_signal))
+        means = _SIGNAL_SCALE * rng.standard_normal((p, d_signal))
+        z[:, block] = means[labels[t]] + _BLOCK_NOISE * rng.standard_normal((n_users, d_signal))
     z /= np.sqrt((z**2).mean())
 
     items = rng.standard_normal((n_items, d_total))
-    items[:, : k * d_signal] *= item_signal_scale
+    items[:, : k * d_signal] *= _ITEM_SIGNAL_SCALE
     scores = z @ items.T
     scores = (scores - scores.mean(axis=1, keepdims=True)) / (
         scores.std(axis=1, keepdims=True) + 1e-12

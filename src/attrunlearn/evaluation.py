@@ -108,29 +108,33 @@ def micro_f1(predictions: np.ndarray, labels: np.ndarray) -> float:
     return 100.0 * int((predictions == labels).sum()) / labels.size
 
 
+# the attacker: one 100-unit hidden layer, full-batch Adam at 1e-2 under an L2
+# penalty, stopped once the penalized loss has not improved by 1e-4 for 10 steps
+_ATTACKER_HIDDEN = 100
+_ATTACKER_L2 = 1.0
+_ATTACKER_LEARNING_RATE = 1e-2
+_ATTACKER_TOL = 1e-4
+_ATTACKER_PATIENCE = 10
+
+
 def train_attacker(
     embeddings: np.ndarray,
     labels: np.ndarray,
     cardinality: int,
     seed: int = 0,
-    hidden: int = 100,
-    l2: float = 1.0,
-    learning_rate: float = 1e-2,
     max_iterations: int = 500,
-    tol: float = 1e-4,
-    n_iter_no_change: int = 10,
 ) -> DenseNetwork:
     """Train the adversarial classifier on raw embeddings.
 
     Full-batch Adam with an L2 weight penalty of l2/(2*n_samples)*sum(W^2),
-    stopping early once the penalized loss stops improving by ``tol`` for
-    ``n_iter_no_change`` consecutive iterations.
+    stopping early once the penalized loss stops improving by ``_ATTACKER_TOL``
+    for ``_ATTACKER_PATIENCE`` consecutive iterations.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(np.unique(labels)) < 2:
         raise ValueError("attacker needs at least 2 classes in the training data")
-    net = nets.init_network([embeddings.shape[1], hidden, cardinality], seed)
-    opt = OptimizerState(learning_rate=learning_rate)
+    net = nets.init_network([embeddings.shape[1], _ATTACKER_HIDDEN, cardinality], seed)
+    opt = OptimizerState(learning_rate=_ATTACKER_LEARNING_RATE)
     n = len(labels)
     best = np.inf
     stale = 0
@@ -141,16 +145,16 @@ def train_attacker(
         penalty = 0.0
         for layer in net.layers:
             penalty += float((layer.weights**2).sum())
-        loss += l2 * penalty / (2.0 * n)
+        loss += _ATTACKER_L2 * penalty / (2.0 * n)
         for li, layer in enumerate(net.layers):
-            bundle.param_grads[2 * li] += (l2 / n) * layer.weights
+            bundle.param_grads[2 * li] += (_ATTACKER_L2 / n) * layer.weights
         nets.optimizer_step(opt, net.parameters(), bundle.param_grads)
-        if loss < best - tol:
+        if loss < best - _ATTACKER_TOL:
             best = loss
             stale = 0
         else:
             stale += 1
-            if stale >= n_iter_no_change:
+            if stale >= _ATTACKER_PATIENCE:
                 break
     return net
 
@@ -160,7 +164,7 @@ def predict(net: DenseNetwork, embeddings: np.ndarray) -> np.ndarray:
 
 
 def _attack_one(
-    U: np.ndarray, labels: np.ndarray, cardinality: int, folds: FoldSpec, **kwargs
+    U: np.ndarray, labels: np.ndarray, cardinality: int, folds: FoldSpec, max_iterations: int
 ) -> AttributeAttackStats:
     spec = folds
     for attempt in range(20):
@@ -179,7 +183,8 @@ def _attack_one(
     for f in range(spec.n_folds):
         train_mask = spec.assignments != f
         net = train_attacker(
-            U[train_mask], labels[train_mask], cardinality, seed=spec.seed * 1000 + f, **kwargs
+            U[train_mask], labels[train_mask], cardinality, seed=spec.seed * 1000 + f,
+            max_iterations=max_iterations,
         )
         preds = predict(net, U[~train_mask])
         baccs.append(bacc(preds, labels[~train_mask]))
@@ -193,11 +198,12 @@ def _attack_one(
 
 
 def attack_metrics(
-    U: np.ndarray, attributes: AttributeTable | list, folds: FoldSpec, **attacker_kwargs
+    U: np.ndarray, attributes: AttributeTable | list, folds: FoldSpec, max_iterations: int = 500
 ) -> AttackReport:
     """Five-fold cross-validated attack against every attribute in the table.
 
-    Classifiers are always trained on the same matrix they are evaluated on.
+    Classifiers are always trained on the same matrix they are evaluated on,
+    for at most ``max_iterations`` full-batch steps each.
     """
     entries = attributes.entries() if isinstance(attributes, AttributeTable) else attributes
     per_attr = {}
@@ -205,7 +211,7 @@ def attack_metrics(
         labels = np.asarray(labels)
         if len(labels) != len(U):
             raise ValueError(f"attribute {name!r}: labels do not cover all users")
-        per_attr[name] = _attack_one(U, labels, cardinality, folds, **attacker_kwargs)
+        per_attr[name] = _attack_one(U, labels, cardinality, folds, max_iterations)
     return AttackReport(
         per_attribute=per_attr,
         bacc_average=float(np.mean([s.bacc_mean for s in per_attr.values()])),

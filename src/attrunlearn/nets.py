@@ -66,9 +66,6 @@ class OptimizerState:
     """Adam state; moments are allocated lazily to match the first step's params."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moments: list[np.ndarray] = field(default_factory=list)
     second_moments: list[np.ndarray] = field(default_factory=list)
@@ -188,6 +185,12 @@ def forward_backward(
     return value, GradientBundle(param_grads=param_grads, input_grads=delta)
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
+
 def optimizer_step(
     state: OptimizerState, params: list[np.ndarray], grads: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -208,7 +211,7 @@ def optimizer_step(
         state.second_moments = [np.zeros_like(p) for p in params]
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.first_moments, state.second_moments):
@@ -216,7 +219,7 @@ def optimizer_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPSILON)
     return params
 
 
@@ -225,12 +228,11 @@ def _nll_loss(net: DenseNetwork, batch: np.ndarray, labels: np.ndarray) -> float
     return loss
 
 
+_FD_STEP = 1e-5  # central-difference step of the gradient check
+
+
 def fd_relative_error(
-    net: DenseNetwork,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    bundle: GradientBundle,
-    h: float = 1e-5,
+    net: DenseNetwork, batch: np.ndarray, labels: np.ndarray, bundle: GradientBundle
 ) -> float:
     """Max relative error of ``bundle`` against central differences of the NLL.
 
@@ -245,12 +247,12 @@ def fd_relative_error(
         aflat = analytic.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + _FD_STEP
             up = _nll_loss(net, batch, labels)
-            flat[j] = orig - h
+            flat[j] = orig - _FD_STEP
             down = _nll_loss(net, batch, labels)
             flat[j] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             denom = max(abs(aflat[j]), abs(numeric))
             if denom < 1e-8:
                 continue

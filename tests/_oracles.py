@@ -127,8 +127,7 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
     seed = calibration._attribute_seed(config.seed, attribute)
     rng = np.random.default_rng(seed)
     model = mi.make_variational_model(
-        d, cardinality, seed=seed + 1, hidden=config.hidden,
-        learning_rate=config.variational_lr,
+        d, cardinality, seed=seed + 1, learning_rate=config.variational_lr
     )
     net = model.network
     U = U0.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import top_k
+from _oracles import float_digest, top_k
 from attrunlearn import cf, data
 
 
@@ -46,6 +46,14 @@ class TestTraining:
         b = cf.train_cf(dataset, config)
         assert a.user_embeddings.tobytes() == b.user_embeddings.tobytes()
         assert a.item_embeddings.tobytes() == b.item_embeddings.tobytes()
+
+    def test_seeded_outputs_pinned(self, synthetic):
+        dataset, _ = synthetic
+        model = cf.train_cf(dataset, cf.CFTrainConfig(dim=8, epochs=3, batch_size=256, seed=7))
+        # any change to the BPR arithmetic, the negative draws or Adam changes this digest
+        assert float_digest(
+            model.user_embeddings, model.item_embeddings, model.train_diagnostics["epoch_losses"]
+        ) == "47ddfbddaff663813e642302d8df89c7313c7dffaf6190ebb20f4f16a470f878"
 
     def test_loss_decreases_30_percent(self, synthetic):
         dataset, _ = synthetic

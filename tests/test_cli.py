@@ -1,13 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _surrogate import generate_ml100k_like
 from attrunlearn.calibration import CalibrationConfig
 from attrunlearn.cli import cli_main
 from attrunlearn.combination import CombinationConfig
-from attrunlearn.scenario import AttackSettings, Config, ScenarioScript
+from attrunlearn.scenario import AttackSettings, Config, ScenarioScript, load_dataset
+from attrunlearn.store import write_embedding_file
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +45,25 @@ def test_missing_config_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section", ["cf", "calibration", "combination", "attack", "dataset", None])
-def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section):
+@pytest.mark.parametrize("section,key", [
+    *(pytest.param(s, "dims", id=str(s))
+      for s in ("cf", "calibration", "combination", "attack", "dataset", None)),
+    # settings that became constants
+    *(pytest.param(s, k, id=f"{s}-{k}") for s, k in (
+        ("cf", "l2_weight"), ("cf", "negatives_per_positive"),
+        ("calibration", "hidden"), ("combination", "hidden"),
+    )),
+])
+def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     _, cfg = workspace
     payload = json.loads(cfg.read_text())
-    (payload if section is None else payload[section])["dims"] = 8
+    (payload if section is None else payload[section])[key] = 8
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert cli_main(["train", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "'dims'" in err and (section is None or repr(section) in err)
+    assert repr(key) in err and (section is None or repr(section) in err)
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -138,6 +148,20 @@ def test_attack_and_rec_eval(workspace):
     assert cli_main(["rec-eval", "--config", str(cfg)]) == 0
     rec = json.loads((root / "out" / "rec_report.json").read_text())
     assert 0.0 <= rec["ndcg_at_k"] <= rec["hr_at_k"] <= 1.0
+
+
+def test_attack_on_embeddings_file_trains_no_model(workspace, tmp_path):
+    _, cfg = workspace
+    payload = json.loads(cfg.read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    dataset, _ = load_dataset(Config.from_json(config_path))
+    emb = tmp_path / "u.emb"
+    write_embedding_file(emb, np.random.default_rng(0).standard_normal((dataset.n_users, 8)))
+    assert cli_main(["attack", "--config", str(config_path), "--embeddings", str(emb)]) == 0
+    assert (tmp_path / "out" / "attack_report.json").exists()
+    assert not list((tmp_path / "out").glob("model_*"))
 
 
 def test_corrupt_embeddings_file_exit_1(workspace, tmp_path, capsys):

@@ -194,7 +194,27 @@ class TestOptimizeWeights:
         )
 
 
+class TestSummedMiEstimate:
+    def test_seeded_value_pinned(self, two_attr):
+        U0, entries = two_attr
+        # any change to the protocol's fit budget, batches or learning rate changes this digest
+        assert float_digest(summed_mi_estimate(U0, entries, seed=13)) == (
+            "a6461fb445da407c33c8f4bac7b561cc797059d272790932620207d5cc40af59"
+        )
+
+
 class TestJointUnlearn:
+    def test_seeded_outputs_pinned(self, two_attr):
+        U0, entries = two_attr
+        cfg = CalibrationConfig(
+            eps_ratio=0.01, iterations=30, batch_size=64, variational_lr=1e-2, seed=43
+        )
+        mats, alpha, p2 = joint_unlearn(U0, entries, cfg)
+        # any change to the arithmetic of the joint descent or the protocol changes this digest
+        assert float_digest(*mats, alpha, p2) == (
+            "598a2bc7c053f3d2d070c7d2af95058ced250798deac16ba617508568e2fadcd"
+        )
+
     def test_zero_eps_pins_components_to_origin(self, two_attr):
         U0, entries = two_attr
         cfg = CalibrationConfig(

@@ -330,9 +330,12 @@ class TestSynthetic:
         ((200, 100, 4, 1), {}, "d2e88c3c3cf2dbfb"),
         ((120, 80, 3, 5), {"cardinalities": (2, 3)}, "8dbb65d35eab8223"),
         ((60, 40, 2, 13), {"items_per_user": 5}, "fda39b9d884de32a"),
+        ((90, 50, 3, 29), {"cardinalities": (2, 4)}, "6cfb4158292eaa8a"),
+        ((80, 30, 0, 31), {"items_per_user": 6}, "f1bc8900068d92da"),  # no planted signal
     ])
     def test_outputs_pinned(self, args, kwargs, expected):
-        # digests of the outputs of the per-user split loop this generator used to run
+        # digests of earlier versions' outputs: the first three from the per-user split
+        # loop, the last two from when the generator's make-up was set by arguments
         assert synthetic_digest(*args, **kwargs) == expected
 
     def test_planted_signal_recoverable(self):
