@@ -12,7 +12,7 @@ narrows the gap, since protecting one attribute partially protects the other.
 
 import numpy as np
 
-from attrunlearn import calibration, combination, data, evaluation
+from attrunlearn import calibration, combination, data, evaluation, scenario
 
 dataset, table = data.synthetic_dataset(
     700, 150, d_signal=3, seed=23, cardinalities=(2, 3)
@@ -29,7 +29,7 @@ calib = calibration.CalibrationConfig(
 )
 comb = combination.CombinationConfig(iterations=150, batch_size=256, seed=31)
 
-results = calibration.calibrate_many(U0, entries, calib, parallelism=2)
+results = scenario.calibrate_many(U0, entries, calib, workers=2)
 ordered = [results[name].embeddings for name, _, _ in entries]
 
 optimized = combination.optimize_weights(ordered, entries, comb)
@@ -42,7 +42,7 @@ for tag, emb in [("original", U0), ("averaged", averaged.embeddings),
     total = combination.summed_mi_estimate(emb, entries, seed=99)
     print(f"{tag:<10} attacker BAcc {attack.bacc_average:5.1f}%  summed estimate {total:.4f}")
 
-report = combination.bound_check(U0, entries, calib, comb, parallelism=2)
+report = combination.bound_check(U0, ordered, entries, calib, comb)
 rel = abs(report.gap) / max(report.p1, report.p2)
 print(f"\northogonal attributes: two-step P1 = {report.p1:.4f}, joint P2 = {report.p2:.4f}, "
       f"gap {report.gap:+.4f} (relative {rel:.3f})")
@@ -54,7 +54,11 @@ rng = np.random.default_rng(77)
 flips = rng.random(len(labels0)) < 0.05
 correlated = np.where(flips, 1 - labels0, labels0)
 corr_entries = [("attr0", labels0, 2), ("attr0_corr", correlated, 2)]
-report2 = combination.bound_check(U0, corr_entries, calib, comb, parallelism=2)
+corr_mats = [
+    results["attr0"].embeddings,  # attr0's calibration from above
+    calibration.calibrate(U0, correlated, calib, attribute="attr0_corr", cardinality=2).embeddings,
+]
+report2 = combination.bound_check(U0, corr_mats, corr_entries, calib, comb)
 rel2 = abs(report2.gap) / max(report2.p1, report2.p2)
 print(f"correlated attributes: two-step P1 = {report2.p1:.4f}, joint P2 = {report2.p2:.4f}, "
       f"gap {report2.gap:+.4f} (relative {rel2:.3f})")

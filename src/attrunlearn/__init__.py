@@ -12,7 +12,6 @@ from .calibration import (
     CalibrationConfig,
     CalibrationResult,
     calibrate,
-    calibrate_many,
     project_ball,
 )
 from .cf import CFModel, CFTrainConfig, train_cf
@@ -71,7 +70,14 @@ from .nets import (
     log_softmax_nll,
     optimizer_step,
 )
-from .scenario import Config, RunReport, ScenarioScript, dp_baseline, run_scenario
+from .scenario import (
+    Config,
+    RunReport,
+    ScenarioScript,
+    calibrate_many,
+    dp_baseline,
+    run_scenario,
+)
 from .store import EmbeddingStore, StoreError
 
 __version__ = "0.1.0"

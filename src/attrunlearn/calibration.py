@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,8 +31,12 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_ratio < 0:
-            raise ValueError("eps_ratio must be >= 0")
+        # the chained comparisons are false for NaN as well
+        if not 0 <= self.eps_ratio < np.inf:
+            raise ValueError(f"'eps_ratio' must be finite and >= 0, got {self.eps_ratio!r}")
+        for key in ("step_size", "variational_lr"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key!r} must be finite and > 0, got {getattr(self, key)!r}")
         if self.iterations < 0 or self.batch_size < 2 or self.inner_steps < 1:
             raise ValueError("bad iterations/batch_size/inner_steps")
 
@@ -80,6 +83,18 @@ def project_ball(U: np.ndarray, U0: np.ndarray, eps: float) -> np.ndarray:
     if eps == 0.0:
         return U0.copy()
     return U0 + (eps / norm) * diff
+
+
+def descend_rows(
+    opt: OptimizerState, U: np.ndarray, U0: np.ndarray, eps: float,
+    idx: np.ndarray, grad_rows: np.ndarray,
+) -> np.ndarray:
+    """One Adam step on U in place, with ``grad_rows`` on rows ``idx`` and zero
+    elsewhere; returns the projection onto the eps-ball around U0."""
+    full_grad = np.zeros_like(U)
+    full_grad[idx] = grad_rows
+    optimizer_step(opt, [U], [full_grad])
+    return project_ball(U, U0, eps)
 
 
 def _attribute_seed(base_seed: int, attribute: str) -> int:
@@ -131,10 +146,7 @@ def calibrate(
         estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels)
         if not np.isfinite(estimate):
             raise CalibrationError(f"non-finite MI estimate for {attribute!r}", mi_trace)
-        full_grad = np.zeros_like(U)
-        full_grad[idx] = grad_rows
-        optimizer_step(emb_opt, [U], [full_grad])
-        U = project_ball(U, U0, eps)
+        U = descend_rows(emb_opt, U, U0, eps, idx, grad_rows)
         mi_trace.append(estimate)
         nll_trace.append(nll)
         dist_trace.append(float(np.linalg.norm(U - U0)))
@@ -147,33 +159,6 @@ def calibrate(
         distance_trace=np.array(dist_trace),
         config_hash=config.hash(),
     )
-
-
-def calibrate_many(
-    U0: np.ndarray,
-    attributes: list[tuple[str, np.ndarray, int]],
-    config: CalibrationConfig,
-    parallelism: int = 1,
-) -> dict[str, CalibrationResult]:
-    """Calibrate several attributes independently, optionally in parallel.
-
-    Each attribute's run derives its own seed from (config.seed, name), so the
-    outputs are identical whatever the worker count.
-    """
-    names = [name for name, _, _ in attributes]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate attribute ids in {names}")
-    if not attributes:
-        return {}
-
-    def run(entry):
-        name, labels, cardinality = entry
-        return name, calibrate(U0, labels, config, attribute=name, cardinality=cardinality)
-
-    if parallelism <= 1 or len(attributes) == 1:
-        return dict(run(entry) for entry in attributes)
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return dict(pool.map(run, attributes))
 
 
 def trace_to_csv(result: CalibrationResult, path) -> None:

@@ -27,8 +27,10 @@ class CFTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.dim, self.epochs + 1, self.batch_size) <= 0 or self.learning_rate <= 0:
+        if min(self.dim, self.epochs + 1, self.batch_size) <= 0:
             raise ValueError("CF config values must be positive (epochs may be 0)")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails the comparison too
+            raise ValueError(f"'learning_rate' must be finite and > 0, got {self.learning_rate!r}")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from .evaluation import attack_metrics, hr_ndcg_at_k, make_folds
 from .scenario import (
     Config,
     ScenarioScript,
+    calibrate_many,
     dp_baseline,
     ensure_model,
     load_dataset,
@@ -90,6 +91,14 @@ def _dispatch(args) -> int:
     # a malformed script fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
     dataset, table = load_dataset(config)
+    # unknown attribute names fail before a model is trained
+    if args.command == "calibrate":
+        names = [args.attr]
+    elif args.command in ("combine", "bound-check"):
+        names = [n.strip() for n in args.attrs.split(",") if n.strip()]
+    else:
+        names = [name for request in script.requests for name in request] if script else []
+    entries = table.entries(names)
     # an attack on an embedding file needs no recommender
     skip_model = args.command == "attack" and args.embeddings is not None
     model = None if skip_model else ensure_model(config, dataset)
@@ -107,22 +116,21 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "calibrate":
-        attr = table.get(args.attr)
+        name, labels, cardinality = entries[0]
         result = calibrate(
-            model.user_embeddings, attr.labels, config.calibration,
-            attribute=attr.name, cardinality=attr.cardinality,
+            model.user_embeddings, labels, config.calibration,
+            attribute=name, cardinality=cardinality,
         )
         store = EmbeddingStore(config.resolved_store_dir())
-        keys = store.key(model.user_embeddings, table.entries([attr.name]),
-                         config.calibration.hash())
-        store.put(keys[attr.name], result.embeddings)
+        keys = store.key(model.user_embeddings, entries, config.calibration.hash())
+        store.put(keys[name], result.embeddings)
         if args.trace_csv:
             trace_to_csv(result, args.trace_csv)
         _write_report(
             config,
-            f"calibrate_{attr.name}.json",
+            f"calibrate_{name}.json",
             {
-                "attribute": attr.name,
+                "attribute": name,
                 "final_mi": float(result.mi_trace[-1]) if len(result.mi_trace) else None,
                 "final_distance": float(result.distance_trace[-1])
                 if len(result.distance_trace)
@@ -133,7 +141,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "combine":
-        names = [n.strip() for n in args.attrs.split(",") if n.strip()]
         script = ScenarioScript([names])
         reports = run_scenario(config, script, dataset, table, model)
         _write_report(config, "combine_report.json", reports[0].to_dict())
@@ -162,14 +169,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bound-check":
-        names = [n.strip() for n in args.attrs.split(",") if n.strip()]
-        report = bound_check(
-            model.user_embeddings,
-            table.entries(names),
-            config.calibration,
-            config.combination,
-            parallelism=config.workers,
-        )
+        U0 = model.user_embeddings
+        results = calibrate_many(U0, entries, config.calibration, config.workers)
+        mats = [results[name].embeddings for name in names]
+        report = bound_check(U0, mats, entries, config.calibration, config.combination)
         _write_report(config, "bound_check.json", json.loads(report.to_json()))
         return 0
 

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mi
-from .calibration import CalibrationConfig, _attribute_seed, calibrate_many, project_ball
-from .nets import OptimizerState, optimizer_step
+from .calibration import CalibrationConfig, _attribute_seed, descend_rows
+from .nets import OptimizerState
 
 
 @dataclass
@@ -27,8 +27,11 @@ class CombinationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0 or self.batch_size < 2 or self.step_size <= 0:
+        if self.iterations < 0 or self.batch_size < 2:
             raise ValueError("bad combination config")
+        for key in ("step_size", "variational_lr"):  # NaN fails the comparison too
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key!r} must be finite and > 0, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -280,10 +283,7 @@ def joint_unlearn(
         idx = sampler.next_batch()
         _, grad_alpha, grad_batch = _weight_step(models, mats, labels, alpha, idx)
         for i in range(k):
-            full = np.zeros_like(mats[i])
-            full[idx] = alpha[i] * grad_batch
-            optimizer_step(opts[i], [mats[i]], [full])
-            mats[i] = project_ball(mats[i], U0, eps)
+            mats[i] = descend_rows(opts[i], mats[i], U0, eps, idx, alpha[i] * grad_batch)
         alpha = project_simplex_softmax(alpha - alpha_step * grad_alpha)
 
     combined = combine(mats, alpha)
@@ -293,17 +293,16 @@ def joint_unlearn(
 
 def bound_check(
     U0: np.ndarray,
+    mats: list[np.ndarray],
     attributes: list[tuple[str, np.ndarray, int]],
     calib_config: CalibrationConfig,
     comb_config: CombinationConfig,
-    parallelism: int = 1,
 ) -> BoundCheckReport:
-    """Empirical two-step vs joint comparison under a shared leakage protocol."""
+    """Empirical two-step vs joint comparison under a shared leakage protocol.
+    ``mats`` are U0's calibrations under ``calib_config``, one per attribute."""
     if len(attributes) < 2:
         raise ValueError("bound check needs at least 2 attributes")
-    results = calibrate_many(U0, attributes, calib_config, parallelism=parallelism)
-    ordered = [results[name].embeddings for name, _, _ in attributes]
-    two_step = optimize_weights(ordered, attributes, comb_config)
+    two_step = optimize_weights(mats, attributes, comb_config)
     p1 = summed_mi_estimate(two_step.embeddings, attributes, seed=calib_config.seed)
     _, _, p2 = joint_unlearn(U0, attributes, calib_config, alpha_step=comb_config.step_size)
     return BoundCheckReport(

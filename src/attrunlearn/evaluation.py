@@ -235,6 +235,8 @@ def hr_ndcg_at_k(
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m = dataset.n_users, len(item_embeddings)
+    if len(user_embeddings) != n:
+        raise ValueError(f"{len(user_embeddings)} user embedding rows for {n} users")
     test = np.asarray(dataset.test_items, dtype=np.int64)
     for u in np.flatnonzero(test < 0):
         log.warning("user %d has no test item; skipped", u)

@@ -16,9 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-RELU = "relu"
-IDENTITY = "identity"
-
 _MAX_CHECK_PARAMS = 10_000
 
 
@@ -26,11 +23,12 @@ _MAX_CHECK_PARAMS = 10_000
 class Layer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray  # (out,)
-    activation: str = RELU
 
 
 @dataclass
 class DenseNetwork:
+    """An MLP: ReLU after every layer but the last, whose outputs are logits."""
+
     layers: list[Layer]
 
     @property
@@ -83,23 +81,11 @@ def init_network(layer_sizes: list[int], seed: int) -> DenseNetwork:
         raise ValueError(f"layer sizes must be positive integers, got {layer_sizes}")
     rng = np.random.default_rng(seed)
     layers = []
-    n_layers = len(layer_sizes) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = layer_sizes[i], layer_sizes[i + 1]
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        biases = np.zeros(fan_out)
-        activation = IDENTITY if i == n_layers - 1 else RELU
-        layers.append(Layer(weights, biases, activation))
+        layers.append(Layer(weights, np.zeros(fan_out)))
     return DenseNetwork(layers)
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == RELU:
-        return np.maximum(z, 0.0)
-    if activation == IDENTITY:
-        return z
-    raise ValueError(f"unknown activation {activation!r}")
 
 
 def _forward_cached(net: DenseNetwork, batch: np.ndarray):
@@ -109,13 +95,14 @@ def _forward_cached(net: DenseNetwork, batch: np.ndarray):
             f"batch shape {batch.shape} incompatible with input dim {net.input_dim}"
         )
     h = np.asarray(batch, dtype=np.float64)
+    last = len(net.layers) - 1
     inputs, preacts = [], []
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         inputs.append(h)
         z = h @ layer.weights.T
         z += layer.biases
         preacts.append(z)
-        h = _activate(z, layer.activation)
+        h = np.maximum(z, 0.0) if i < last else z
     return h, inputs, preacts
 
 
@@ -173,12 +160,8 @@ def forward_backward(
     param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))
     for i in range(last, -1, -1):
         layer = net.layers[i]
-        if layer.activation == RELU:
-            # below the output layer delta is this loop's own array
-            if i == last:
-                delta = delta * (preacts[i] > 0)
-            else:
-                delta *= preacts[i] > 0
+        if i < last:  # below the output layer delta is this loop's own array
+            delta *= preacts[i] > 0
         param_grads[2 * i] = delta.T @ inputs[i]
         param_grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ layer.weights

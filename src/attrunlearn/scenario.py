@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, calibrate
+from .calibration import CalibrationConfig, CalibrationResult, calibrate
 from .cf import CFModel, CFTrainConfig, load_model, save_model, train_cf
 from .combination import CombinationConfig, optimize_weights
 from .data import (
@@ -156,7 +156,10 @@ class Config:
         for name, section_cls in _SECTIONS.items():
             if name in values:
                 section = _checked(f"section {name!r}", values[name], _declared(section_cls))
-                values[name] = section_cls(**section)
+                try:
+                    values[name] = section_cls(**section)
+                except ValueError as exc:
+                    raise ValueError(f"{exc} in section {name!r}") from None
         cfg = cls(**values, **{_DATASET_KEYS[k]: v for k, v in dataset.items()})
         cfg.validate()
         return cfg
@@ -232,6 +235,32 @@ def dp_baseline(U0: np.ndarray, noise_scale: float, seed: int) -> np.ndarray:
     return U0 + noise_scale * rng.standard_normal(U0.shape)
 
 
+def calibrate_many(
+    U0: np.ndarray,
+    entries: list[tuple[str, np.ndarray, int]],
+    config: CalibrationConfig,
+    workers: int = 1,
+) -> dict[str, CalibrationResult]:
+    """Calibrate U0 once per (name, labels, cardinality) entry, on up to
+    ``workers`` threads; results are keyed by name in entry order.
+
+    Each run derives its own seed from (config.seed, name), so the results are
+    the same whatever the worker count.
+    """
+    names = [name for name, _, _ in entries]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate attribute ids in {names}")
+
+    def run(entry):
+        name, labels, cardinality = entry
+        return name, calibrate(U0, labels, config, attribute=name, cardinality=cardinality)
+
+    if workers <= 1 or len(entries) <= 1:
+        return dict(map(run, entries))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(run, entries))
+
+
 def run_scenario(
     config: Config,
     script: ScenarioScript,
@@ -241,8 +270,8 @@ def run_scenario(
 ) -> list[RunReport]:
     """Execute each request, reusing cached calibrations across requests.
 
-    Per request: calibrate only attributes with no store entry (in parallel up
-    to ``config.workers``), pull the rest from the store, optimize the
+    Per request: calibrate only attributes with no store entry (on up to
+    ``config.workers`` threads), pull the rest from the store, optimize the
     combination weights, then (optionally) evaluate. The reported
     ``unlearn_seconds`` covers calibration + combination + store traffic;
     evaluation is timed separately.
@@ -274,27 +303,14 @@ def run_scenario(
                     log.warning("store entry for %r unusable (%s); recalibrating", name, exc)
             to_run.append(name)
 
-        def calibrate_one(name: str) -> tuple[str, np.ndarray]:
-            a = attributes.get(name)
-            result = calibrate(
-                U0, a.labels, config.calibration, attribute=name, cardinality=a.cardinality
-            )
-            return name, result.embeddings
-
-        fresh: dict[str, np.ndarray] = {}
-        if to_run:
-            if config.workers > 1 and len(to_run) > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    fresh = dict(pool.map(calibrate_one, to_run))
-            else:
-                fresh = dict(calibrate_one(name) for name in to_run)
-            for name, matrix in fresh.items():
-                store.put(keys[name], matrix)
+        fresh = calibrate_many(U0, attributes.entries(to_run), config.calibration, config.workers)
+        for name, result in fresh.items():
+            store.put(keys[name], result.embeddings)
         t_calib = time.perf_counter() - t_unlearn
 
         t0 = time.perf_counter()
         combo = optimize_weights(
-            [fresh[name] if name in fresh else cached[name] for name in request],
+            [fresh[name].embeddings if name in fresh else cached[name] for name in request],
             attributes.entries(request),
             config.combination,
         )

@@ -36,16 +36,17 @@ def reference_forward_backward(net, batch, logit_grads):
     [dW0, db0, ...] list and the input gradients.
     """
     h = np.asarray(batch, dtype=np.float64)
+    last = len(net.layers) - 1
     inputs, preacts = [], []
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         inputs.append(h)
         z = h @ layer.weights.T + layer.biases
         preacts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == nets.RELU else z
+        h = np.maximum(z, 0.0) if i < last else z
     delta = np.asarray(logit_grads, dtype=np.float64)
     param_grads = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
-        if net.layers[i].activation == nets.RELU:
+    for i in range(last, -1, -1):
+        if i < last:
             delta = delta * (preacts[i] > 0)
         param_grads[2 * i] = delta.T @ inputs[i]
         param_grads[2 * i + 1] = delta.sum(axis=0)

@@ -16,7 +16,7 @@ import pytest
 
 from _oracles import central_difference, kink_free_mi_instance, kink_free_net_instance, max_relative_error
 from _surrogate import generate_ml100k_like
-from attrunlearn import calibration, cf, combination, data, evaluation, mi, nets
+from attrunlearn import cf, combination, data, evaluation, mi, nets
 from attrunlearn.calibration import CalibrationConfig, project_ball
 from attrunlearn.combination import (
     CombinationConfig,
@@ -26,7 +26,13 @@ from attrunlearn.combination import (
     project_simplex_softmax,
     summed_estimate_and_alpha_gradient,
 )
-from attrunlearn.scenario import AttackSettings, Config, ScenarioScript, run_scenario
+from attrunlearn.scenario import (
+    AttackSettings,
+    Config,
+    ScenarioScript,
+    calibrate_many,
+    run_scenario,
+)
 
 # run configuration: spec defaults except where the MF embedding scale demands
 # otherwise (ball radius grid-searched for this model; classifier lr raised so
@@ -81,7 +87,7 @@ def pipeline(tmp_path_factory) -> Pipeline:
     orig_rec = evaluation.hr_ndcg_at_k(U0, model.item_embeddings, dataset, k=10)
 
     t0 = time.perf_counter()
-    calibrated = calibration.calibrate_many(U0, entries, CALIB_CONFIG, parallelism=3)
+    calibrated = calibrate_many(U0, entries, CALIB_CONFIG, 3)
     calibrate_seconds = time.perf_counter() - t0
 
     ordered = [calibrated[n].embeddings for n in ATTRS]
@@ -184,8 +190,9 @@ def test_criterion_5_dynamic_request_efficiency(pipeline, tmp_path):
 
 def test_criterion_6_two_step_vs_joint_bound(pipeline):
     report = bound_check(
-        pipeline.model.user_embeddings, pipeline.entries,
-        CALIB_CONFIG, COMB_CONFIG, parallelism=3,
+        pipeline.model.user_embeddings,
+        [pipeline.calibrated[name].embeddings for name, _, _ in pipeline.entries],
+        pipeline.entries, CALIB_CONFIG, COMB_CONFIG,
     )
     rel = abs(report.p1 - report.p2) / max(report.p1, report.p2)
     # the 0.05..10 band is an order-of-magnitude sanity check against the

@@ -4,6 +4,7 @@ import pytest
 from _oracles import reference_calibrate
 from attrunlearn import calibration, data, evaluation, nets
 from attrunlearn.calibration import CalibrationConfig, CalibrationError, project_ball
+from attrunlearn.scenario import calibrate_many
 
 
 @pytest.fixture(scope="module")
@@ -160,28 +161,28 @@ class TestCalibrateMany:
     def test_single_attribute_matches_calibrate(self, multi):
         U0, entries = multi
         cfg = CalibrationConfig(iterations=80, batch_size=32, seed=9)
-        many = calibration.calibrate_many(U0, entries[:1], cfg)
+        many = calibrate_many(U0, entries[:1], cfg)
         solo = calibration.calibrate(
             U0, entries[0][1], cfg, attribute=entries[0][0], cardinality=entries[0][2]
         )
         assert many[entries[0][0]].embeddings.tobytes() == solo.embeddings.tobytes()
 
-    def test_parallelism_does_not_change_outputs(self, multi):
+    def test_workers_do_not_change_outputs(self, multi):
         U0, entries = multi
         cfg = CalibrationConfig(iterations=60, batch_size=32, seed=10)
-        seq = calibration.calibrate_many(U0, entries, cfg, parallelism=1)
-        par = calibration.calibrate_many(U0, entries, cfg, parallelism=3)
+        seq = calibrate_many(U0, entries, cfg, workers=1)
+        par = calibrate_many(U0, entries, cfg, workers=3)
         for name in (e[0] for e in entries):
             assert seq[name].embeddings.tobytes() == par[name].embeddings.tobytes()
 
     def test_empty_list(self, multi):
         U0, _ = multi
-        assert calibration.calibrate_many(U0, [], CalibrationConfig()) == {}
+        assert calibrate_many(U0, [], CalibrationConfig()) == {}
 
     def test_duplicate_attributes_rejected(self, multi):
         U0, entries = multi
         with pytest.raises(ValueError, match="duplicate"):
-            calibration.calibrate_many(U0, [entries[0], entries[0]], CalibrationConfig())
+            calibrate_many(U0, [entries[0], entries[0]], CalibrationConfig())
 
 
 class TestFusedPath:

@@ -74,6 +74,13 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     ("cf", "epochs", True),  # a bool is not an int
     ("calibration", "eps_ratio", "0.5"),
     (None, "evaluate", 1),
+    # rates of the right type that are not finite and positive
+    ("cf", "learning_rate", float("nan")),
+    ("calibration", "eps_ratio", float("nan")),
+    ("calibration", "step_size", -1e-3),
+    ("calibration", "variational_lr", -1e-3),
+    ("combination", "variational_lr", -0.5),
+    ("combination", "step_size", float("inf")),
 ])
 def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, key, value):
     _, cfg = workspace
@@ -150,18 +157,52 @@ def test_attack_and_rec_eval(workspace):
     assert 0.0 <= rec["ndcg_at_k"] <= rec["hr_at_k"] <= 1.0
 
 
-def test_attack_on_embeddings_file_trains_no_model(workspace, tmp_path):
-    _, cfg = workspace
+def _fresh_output_config(cfg, tmp_path) -> Path:
+    """A copy of the config at ``cfg`` that writes into ``tmp_path / "out"``."""
     payload = json.loads(cfg.read_text())
     payload["output_dir"] = str(tmp_path / "out")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(payload))
+    return config_path
+
+
+def test_attack_on_embeddings_file_trains_no_model(workspace, tmp_path):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
     dataset, _ = load_dataset(Config.from_json(config_path))
     emb = tmp_path / "u.emb"
     write_embedding_file(emb, np.random.default_rng(0).standard_normal((dataset.n_users, 8)))
     assert cli_main(["attack", "--config", str(config_path), "--embeddings", str(emb)]) == 0
     assert (tmp_path / "out" / "attack_report.json").exists()
     assert not list((tmp_path / "out").glob("model_*"))
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 1])
+def test_rec_eval_wrong_row_count_exit_1(workspace, tmp_path, capsys, extra_rows):
+    _, cfg = workspace
+    dataset, _ = load_dataset(Config.from_json(cfg))
+    emb = tmp_path / "u.emb"
+    write_embedding_file(emb, np.zeros((dataset.n_users + extra_rows, 8)))
+    assert cli_main(["rec-eval", "--config", str(cfg), "--embeddings", str(emb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{dataset.n_users} users" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--attr", "bogus"],
+    ["combine", "--attrs", "gender,bogus"],
+    ["bound-check", "--attrs", "gender,bogus"],
+    ["scenario", "--script"],
+], ids=lambda args: args[0])
+def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, args):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    if args[0] == "scenario":
+        script_path = tmp_path / "script.json"
+        ScenarioScript([["gender"], ["gender", "bogus"]]).to_json(script_path)
+        args = [*args, str(script_path)]
+    assert cli_main([*args, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bogus" in err
+    assert not list(tmp_path.glob("out/model_*"))
 
 
 def test_corrupt_embeddings_file_exit_1(workspace, tmp_path, capsys):
@@ -210,11 +251,7 @@ def test_scenario_subcommand(workspace):
     {"schema_version": 1, "requests": "gender"},
 ])
 def test_malformed_script_exit_1_before_training(workspace, tmp_path, capsys, script):
-    _, cfg = workspace
-    payload = json.loads(cfg.read_text())
-    payload["output_dir"] = str(tmp_path / "out")
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(payload))
+    config_path = _fresh_output_config(workspace[1], tmp_path)
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script))
     assert cli_main(["scenario", "--config", str(config_path), "--script", str(script_path)]) == 1

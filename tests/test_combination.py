@@ -14,6 +14,7 @@ from attrunlearn.combination import (
     summed_estimate_and_alpha_gradient,
     summed_mi_estimate,
 )
+from attrunlearn.scenario import calibrate_many
 
 
 CALIB = CalibrationConfig(
@@ -32,11 +33,16 @@ def two_attr():
     return dataset.oracle_embeddings, entries
 
 
+def _calibrated(U0, entries, config, workers=1):
+    """U0's calibration under ``config`` for each entry, in entry order."""
+    results = calibrate_many(U0, entries, config, workers)
+    return [results[name].embeddings for name, _, _ in entries]
+
+
 @pytest.fixture(scope="module")
 def two_attr_calibrated(two_attr):
     U0, entries = two_attr
-    results = calibration.calibrate_many(U0, entries, CALIB, parallelism=2)
-    return U0, entries, [results[name].embeddings for name, _, _ in entries]
+    return U0, entries, _calibrated(U0, entries, CALIB, 2)
 
 
 class TestSoftmaxProjection:
@@ -261,7 +267,7 @@ class TestBoundCheck:
             eps_ratio=0.0, iterations=60, batch_size=64, variational_lr=1e-2, seed=51
         )
         comb = CombinationConfig(iterations=40, batch_size=64, seed=51)
-        report = combination.bound_check(U0, entries, calib, comb)
+        report = combination.bound_check(U0, _calibrated(U0, entries, calib), entries, calib, comb)
         assert report.p1 == pytest.approx(report.p2, abs=0.05)
         assert report.eps == 0.0
         assert report.k == 2
@@ -282,13 +288,13 @@ class TestBoundCheck:
             iterations=1200, batch_size=256, variational_lr=1e-2, inner_steps=2, seed=61
         )
         comb = CombinationConfig(iterations=80, batch_size=256, seed=61)
-        report = combination.bound_check(U0, dup, calib, comb)
+        report = combination.bound_check(U0, _calibrated(U0, dup, calib), dup, calib, comb)
         assert report.p1 == pytest.approx(report.p2, abs=0.05)
 
     def test_needs_two_attributes(self, two_attr):
         U0, entries = two_attr
         with pytest.raises(ValueError):
-            combination.bound_check(U0, entries[:1], CALIB, COMB)
+            combination.bound_check(U0, [U0], entries[:1], CALIB, COMB)
 
     def test_report_fields(self, two_attr):
         U0, entries = two_attr
@@ -296,7 +302,7 @@ class TestBoundCheck:
             eps_ratio=0.0, iterations=30, batch_size=64, seed=71
         )
         comb = CombinationConfig(iterations=20, batch_size=64, seed=71)
-        report = combination.bound_check(U0, entries, calib, comb)
+        report = combination.bound_check(U0, _calibrated(U0, entries, calib), entries, calib, comb)
         assert report.c_norm == pytest.approx(np.linalg.norm(U0))
         assert report.gap == pytest.approx(report.p1 - report.p2)
         payload = report.to_json()

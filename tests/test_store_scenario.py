@@ -194,6 +194,21 @@ class TestRunScenario:
             assert EmbeddingStore.key(matrix, [("g", other_labels, cardinality)], "cfg")["g"] != key
         assert EmbeddingStore.key(U0.copy(), [("g", labels.astype(np.int32), 2)], "cfg")["g"] == key
 
+    def test_workers_write_identical_entries_and_releases(self, tmp_path):
+        script = ScenarioScript([["attr0", "attr1", "attr2"], ["attr1", "attr2"]])
+        written = []
+        for workers in (1, 3):
+            config, dataset, table, model = make_pipeline(tmp_path / str(workers), workers=workers)
+            run_scenario(config, script, dataset, table, model)
+            store = EmbeddingStore(config.store_dir)
+            entries = {key: (store.directory / entry["file"]).read_bytes()
+                       for key, entry in store._load_manifest().items()}
+            releases = [path.read_bytes()
+                        for path in sorted(Path(config.output_dir).glob("request_*.emb"))]
+            written.append((entries, releases))
+        assert (len(written[0][0]), len(written[0][1])) == (3, 2)
+        assert written[0] == written[1]
+
     def test_unknown_attribute_rejected(self, tmp_path):
         config, dataset, table, model = make_pipeline(tmp_path)
         with pytest.raises(KeyError):
