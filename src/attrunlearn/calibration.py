@@ -5,6 +5,18 @@ step on the contrastive MI estimate, projecting back onto the Frobenius
 epsilon-ball around the original embeddings after every update. With the
 default one ascent step, an iteration runs the classifier forward twice: once
 in :func:`mi.fit_variational_step` and once in :func:`mi.contrastive_step`.
+
+The descent step (:class:`BallDescent`) costs the rows it touches rather than
+the table. Adam takes the batch's gradient rows in row form
+(``nets.optimizer_step(..., rows=...)``). That step decays the held moments,
+adds the gradient on the batch rows only and updates through preallocated
+workspaces. Rows never touched are skipped until half the table has been
+touched. This is exact: their moments and gradient are zero, so a dense step
+leaves them bitwise unchanged. U - U0 lives in a buffer refreshed on the
+changed rows, and the ball test takes the norm of the whole buffer in row
+order (a norm over the touched rows alone sums in another order). Inside the
+ball that one norm is also the step's distance. The result is bitwise the
+dense step on an N x d gradient followed by :func:`project_ball`.
 """
 
 from __future__ import annotations
@@ -64,37 +76,79 @@ class CalibrationError(RuntimeError):
         self.trace = trace
 
 
-def project_ball(U: np.ndarray, U0: np.ndarray, eps: float) -> np.ndarray:
+# relative slack of the ball test: it keeps re-projection bitwise idempotent
+# despite rounding in the rescale (well inside the 1e-9 feasibility tolerance)
+_BALL_SLACK = 1e-12
+
+
+def _inside_ball(norm: float, eps: float) -> bool:
+    return norm <= eps * (1.0 + _BALL_SLACK)
+
+
+def project_ball(
+    U: np.ndarray, U0: np.ndarray, eps: float,
+    diff: np.ndarray | None = None, norm: float | None = None,
+) -> np.ndarray:
     """Project onto the Frobenius ball of radius eps centred at U0.
 
     Inside the ball the input is returned unchanged (the same object), so the
-    operation is bitwise idempotent.
+    operation is bitwise idempotent. A caller that keeps ``diff`` = U - U0
+    (and may pass its norm) gets the projection written into U and ``diff``
+    in place instead of into new arrays.
     """
     if U.shape != U0.shape:
         raise ValueError(f"shape mismatch {U.shape} vs {U0.shape}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    diff = U - U0
-    norm = float(np.linalg.norm(diff))
-    # the 1e-12 relative slack keeps re-projection bitwise idempotent despite
-    # rounding in the rescale below (well inside the 1e-9 feasibility tolerance)
-    if norm <= eps * (1.0 + 1e-12):
+    in_place = diff is not None
+    if not in_place:
+        diff = U - U0
+    if norm is None:
+        norm = float(np.linalg.norm(diff))
+    if _inside_ball(norm, eps):
         return U
+    if not in_place:
+        return U0.copy() if eps == 0.0 else U0 + (eps / norm) * diff
     if eps == 0.0:
-        return U0.copy()
-    return U0 + (eps / norm) * diff
+        U[...] = U0
+    else:
+        np.add(U0, np.multiply(diff, eps / norm, out=U), out=U)
+    np.subtract(U, U0, out=diff)
+    return U
 
 
-def descend_rows(
-    opt: OptimizerState, U: np.ndarray, U0: np.ndarray, eps: float,
-    idx: np.ndarray, grad_rows: np.ndarray,
-) -> np.ndarray:
-    """One Adam step on U in place, with ``grad_rows`` on rows ``idx`` and zero
-    elsewhere; returns the projection onto the eps-ball around U0."""
-    full_grad = np.zeros_like(U)
-    full_grad[idx] = grad_rows
-    optimizer_step(opt, [U], [full_grad])
-    return project_ball(U, U0, eps)
+class BallDescent:
+    """Adam descent of a copy of U0 (``U``) inside the eps-ball around U0.
+
+    Each step costs the rows it touches, not the table: the Adam step takes
+    the gradient rows in row form (``nets.optimizer_step``), and U - U0 is
+    kept in a buffer that is refreshed on the rows that step changed. The
+    ball test takes the norm of that whole buffer, in row order, because a
+    norm over the touched rows alone sums in another order and is not
+    bitwise the same. Every step equals a dense Adam step on an N x d
+    gradient, zero off the sampled rows, followed by ``project_ball``.
+    """
+
+    def __init__(self, U0: np.ndarray, eps: float, step_size: float):
+        self.U0, self.eps = U0, eps
+        self.U = U0.copy()
+        self.diff = np.zeros_like(U0)
+        self.opt = OptimizerState(learning_rate=step_size)
+
+    def step(self, idx: np.ndarray, grad_rows: np.ndarray) -> float:
+        """One Adam step with ``grad_rows`` on the distinct rows ``idx``, then
+        the projection; returns the distance of U from U0 after it."""
+        U, U0, diff = self.U, self.U0, self.diff
+        optimizer_step(self.opt, [U], [grad_rows], rows=[idx])
+        changed = self.opt.held_rows(0)
+        if changed is None:
+            np.subtract(U, U0, out=diff)
+        else:
+            diff[changed] = U[changed] - U0[changed]
+        norm = float(np.linalg.norm(diff))
+        project_ball(U, U0, self.eps, diff=diff, norm=norm)
+        # the norm is taken again only if the projection rescaled
+        return norm if _inside_ball(norm, self.eps) else float(np.linalg.norm(diff))
 
 
 def _attribute_seed(base_seed: int, attribute: str) -> int:
@@ -131,8 +185,7 @@ def calibrate(
     model = mi.make_variational_model(
         d, cardinality, seed=seed + 1, learning_rate=config.variational_lr, attribute=attribute
     )
-    U = U0.copy()
-    emb_opt = OptimizerState(learning_rate=config.step_size)
+    descent = BallDescent(U0, eps, config.step_size)
     sampler = mi.BatchSampler(n, config.batch_size, rng) if config.iterations else None
 
     mi_trace: list[float] = []
@@ -140,19 +193,18 @@ def calibrate(
     dist_trace: list[float] = []
     for _ in range(config.iterations):
         idx = sampler.next_batch()
-        batch, batch_labels = U[idx], labels[idx]
+        batch, batch_labels = descent.U[idx], labels[idx]
         for _ in range(config.inner_steps):
             nll = mi.fit_variational_step(model, batch, batch_labels)
         estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels)
         if not np.isfinite(estimate):
             raise CalibrationError(f"non-finite MI estimate for {attribute!r}", mi_trace)
-        U = descend_rows(emb_opt, U, U0, eps, idx, grad_rows)
+        dist_trace.append(descent.step(idx, grad_rows))
         mi_trace.append(estimate)
         nll_trace.append(nll)
-        dist_trace.append(float(np.linalg.norm(U - U0)))
 
     return CalibrationResult(
-        embeddings=U,
+        embeddings=descent.U,
         attribute=attribute,
         mi_trace=np.array(mi_trace),
         nll_trace=np.array(nll_trace),

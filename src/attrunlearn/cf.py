@@ -86,6 +86,20 @@ def _sample_negatives(
     return neg
 
 
+def _sum_rows(index: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``index`` (ascending, all below ``n``) and, per
+    row, the sum of its ``values`` rows, added from 0.0 in batch order: bitwise
+    what ``np.add.at`` scatters into a zero table."""
+    counts = np.bincount(index, minlength=n)
+    rows = np.flatnonzero(counts)
+    slot = np.empty(n, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    d = values.shape[1]
+    flat = (slot[index][:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=len(rows) * d)
+    return rows, sums.reshape(len(rows), d)
+
+
 def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
     """Train user/item embeddings with BPR-style sampled pairwise updates.
 
@@ -116,15 +130,19 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
             pairs = dataset.train_pairs[order[start : start + config.batch_size]]
             u, i = pairs[:, 0], pairs[:, 1]
             j = _sample_negatives(rng, u, m, positives)
-            du = item_emb[i] - item_emb[j]
-            x = np.einsum("nd,nd->n", user_emb[u], du)
+            eu, ei, ej = user_emb[u], item_emb[i], item_emb[j]
+            du = ei - ej
+            x = np.einsum("nd,nd->n", eu, du)
             coeff = -_sigmoid(-x)[:, None] / len(u)  # d(mean loss)/dx, per row
-            gu = np.zeros_like(user_emb)
-            gi = np.zeros_like(item_emb)
-            np.add.at(gu, u, coeff * du + (_L2_WEIGHT / len(u)) * user_emb[u])
-            np.add.at(gi, i, coeff * user_emb[u] + (_L2_WEIGHT / len(u)) * item_emb[i])
-            np.add.at(gi, j, -coeff * user_emb[u] + (_L2_WEIGHT / len(u)) * item_emb[j])
-            optimizer_step(state, [user_emb, item_emb], [gu, gi])
+            l2 = _L2_WEIGHT / len(u)
+            user_rows, gu = _sum_rows(u, coeff * du + l2 * eu, n)
+            # the positives' rows come before the negatives'
+            item_rows, gi = _sum_rows(
+                np.concatenate([i, j]),
+                np.concatenate([coeff * eu + l2 * ei, -coeff * eu + l2 * ej]),
+                m,
+            )
+            optimizer_step(state, [user_emb, item_emb], [gu, gi], rows=[user_rows, item_rows])
         loss = pairwise_loss(user_emb, item_emb, diag_triples)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged (loss={loss}) at epoch {len(epoch_losses)}")

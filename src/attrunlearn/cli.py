@@ -73,6 +73,25 @@ def _load_embeddings(arg, model) -> np.ndarray:
     return read_embedding_file(arg)
 
 
+def _parse_sigmas(text: str) -> list[float]:
+    """The comma-separated noise scales of ``dp --sigma``: at least one, each
+    a finite number >= 0."""
+    sigmas = []
+    for part in (p.strip() for p in text.split(",")):
+        if not part:
+            continue
+        try:
+            sigma = float(part)
+        except ValueError:
+            raise ValueError(f"--sigma: {part!r} is not a number") from None
+        if not 0 <= sigma < np.inf:  # NaN fails the comparison too
+            raise ValueError(f"--sigma: {part!r} must be finite and >= 0")
+        sigmas.append(sigma)
+    if not sigmas:
+        raise ValueError(f"--sigma: no noise scale in {text!r}")
+    return sigmas
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -88,8 +107,9 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     config = Config.from_json(args.config)
-    # a malformed script fails before the data is loaded or a model trained
+    # a malformed script or sigma list fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
+    sigmas = _parse_sigmas(args.sigma) if args.command == "dp" else None
     dataset, table = load_dataset(config)
     # unknown attribute names fail before a model is trained
     if args.command == "calibrate":
@@ -177,7 +197,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "dp":
-        sigmas = [float(s) for s in str(args.sigma).split(",") if s.strip()]
         folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         curve = []
         out = Path(config.output_dir)

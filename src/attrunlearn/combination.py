@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mi
-from .calibration import CalibrationConfig, _attribute_seed, descend_rows
-from .nets import OptimizerState
+from .calibration import BallDescent, CalibrationConfig, _attribute_seed
 
 
 @dataclass
@@ -274,16 +273,16 @@ def joint_unlearn(
 
     rng = np.random.default_rng(_attribute_seed(config.seed, "joint:" + "|".join(names)))
     models = _classifiers(d, names, cards, config, "joint-phi")
-    mats = [U0.copy() for _ in range(k)]
-    opts = [OptimizerState(learning_rate=config.step_size) for _ in range(k)]
+    descents = [BallDescent(U0, eps, config.step_size) for _ in range(k)]
+    mats = [descent.U for descent in descents]  # updated in place
     alpha = np.full(k, 1.0 / k)
     sampler = mi.BatchSampler(n, config.batch_size, rng) if iterations else None
 
     for _ in range(iterations):
         idx = sampler.next_batch()
         _, grad_alpha, grad_batch = _weight_step(models, mats, labels, alpha, idx)
-        for i in range(k):
-            mats[i] = descend_rows(opts[i], mats[i], U0, eps, idx, alpha[i] * grad_batch)
+        for a, descent in zip(alpha, descents):
+            descent.step(idx, a * grad_batch)
         alpha = project_simplex_softmax(alpha - alpha_step * grad_alpha)
 
     combined = combine(mats, alpha)

@@ -130,11 +130,42 @@ def _parse_lines(path, sep: str, width: int, parse) -> list:
     return rows
 
 
+_MAX_BULK_DIGITS = 18  # longer fields may not fit an int64; the line reader takes them
+
+
+def _bulk_ints(text: str, sep: str, width: int) -> np.ndarray | None:
+    """The (rows, width) integers of ``text`` if every non-empty line is
+    ``width`` plain digit fields joined by ``sep``, else None.
+
+    On such text this is bitwise what the line reader returns; anything
+    else (signs, padding, a wrong field count, no rows) is left to it.
+    """
+    body = text.replace(sep, " ")
+    b = np.frombuffer(body.encode("latin-1"), dtype=np.uint8)
+    counts = np.bincount(b, minlength=256)
+    if counts.sum() != counts[ord("0") : ord("9") + 1].sum() + counts[ord(" ")] + counts[ord("\n")]:
+        return None
+    seps = np.flatnonzero(b < ord("0"))  # the spaces and line breaks
+    runs = np.diff(seps, prepend=-1, append=len(b)) - 1  # digits before each, and after the last
+    space = b[seps] == ord(" ")
+    if (runs[:-1][space] == 0).any() or (runs[1:][space] == 0).any():
+        return None  # a space not between two fields
+    ends = np.append(np.flatnonzero(~space), len(seps))  # the separator ending each line
+    filled = runs[ends] > 0
+    if (not filled.any() or runs.max() > _MAX_BULK_DIGITS
+            or (np.diff(ends, prepend=-1) - 1 != (width - 1) * filled).any()):
+        return None
+    return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def _parse_ratings(path, sep: str) -> np.ndarray:
-    rows = _parse_lines(path, sep, 4, lambda parts: [int(p) for p in parts])
-    if not rows:
-        raise ValueError(f"{path}: no rating rows")
-    arr = np.array(rows, dtype=np.int64)
+    with open(path, "r", encoding="latin-1") as fh:
+        arr = _bulk_ints(fh.read(), sep, 4)
+    if arr is None:  # the line reader parses the rest, or names the bad line
+        rows = _parse_lines(path, sep, 4, lambda parts: [int(p) for p in parts])
+        if not rows:
+            raise ValueError(f"{path}: no rating rows")
+        arr = np.array(rows, dtype=np.int64)
     if arr[:, 0].min() < 0 or arr[:, 1].min() < 0:
         raise ValueError(f"{path}: negative ids")
     return arr

@@ -61,12 +61,15 @@ class GradientBundle:
 
 @dataclass
 class OptimizerState:
-    """Adam state; moments are allocated lazily to match the first step's params."""
+    """Adam state; each parameter's moments are allocated on its first step."""
 
     learning_rate: float = 1e-3
     step_count: int = 0
-    first_moments: list[np.ndarray] = field(default_factory=list)
-    second_moments: list[np.ndarray] = field(default_factory=list)
+    moments: list["_Moments"] = field(default_factory=list)
+
+    def held_rows(self, i: int) -> np.ndarray | None:
+        """Rows of parameter ``i`` that a step may change, or None for all of them."""
+        return self.moments[i].held_rows()
 
 
 def init_network(layer_sizes: list[int], seed: int) -> DenseNetwork:
@@ -172,37 +175,136 @@ def forward_backward(
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
+# a table stepped in row form holds moments for its touched rows only until
+# this share of its rows has been touched
+_DENSE_SHARE = 0.5
+
+
+class _Moments:
+    """Adam moments of one parameter, plus two workspaces of the same shape.
+
+    A table stepped in row form first holds moments only for the rows it has
+    been given, in first-touch order (``slot`` maps a row to its position, -1
+    for none). Every other row has had zero moments and a zero gradient in
+    every step so far, so the dense step would have left it bitwise unchanged:
+    skipping it is exact. Once ``_DENSE_SHARE`` of the rows have been touched
+    the moments cover every row in place.
+    """
+
+    def __init__(self, p: np.ndarray, by_rows: bool):
+        self.rows = self.slot = None
+        shape = p.shape
+        if by_rows:
+            self.slot = np.full(len(p), -1, dtype=np.int64)
+            self.rows = np.empty(int(np.ceil(_DENSE_SHARE * len(p))), dtype=np.int64)
+            self.count = 0
+            shape = (len(self.rows),) + p.shape[1:]
+        self._allocate(shape)
+
+    def _allocate(self, shape) -> None:
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self.work = (np.empty(shape), np.empty(shape))
+
+    def held_rows(self) -> np.ndarray | None:
+        return None if self.rows is None else self.rows[: self.count]
+
+    def positions(self, rows: np.ndarray | None) -> np.ndarray | None:
+        """Positions of ``rows`` (None: every row) in the moment arrays,
+        taking in the rows not held yet."""
+        if self.rows is None:
+            return rows
+        if rows is not None:
+            new = rows[self.slot[rows] < 0]
+            count = self.count + len(new)
+            if count < _DENSE_SHARE * len(self.slot):
+                self.slot[new] = np.arange(self.count, count)
+                self.rows[self.count : count] = new
+                self.count = count
+                return self.slot[rows]
+        # the moments go dense, in row order
+        held, k = self.rows[: self.count], self.count
+        m, v = self.m[:k], self.v[:k]
+        self._allocate((len(self.slot),) + m.shape[1:])
+        self.m[held], self.v[held] = m, v
+        self.rows = self.slot = None
+        return rows
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(m, v, workspace, workspace) over the held rows."""
+        if self.rows is None:
+            return self.m, self.v, *self.work
+        k = self.count
+        return self.m[:k], self.v[:k], self.work[0][:k], self.work[1][:k]
 
 
 def optimizer_step(
-    state: OptimizerState, params: list[np.ndarray], grads: list[np.ndarray]
+    state: OptimizerState,
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    rows: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """One bias-corrected Adam step, applied to ``params`` in place.
 
+    With ``rows`` (one array of distinct row indices per parameter), each
+    grad holds the rows ``rows[i]`` of its parameter's gradient only; every
+    other row's gradient is zero. The arithmetic is the dense step's: every
+    held moment decays, the gradient is added on the given rows, and the
+    update runs through the workspaces, at a cost that grows with the rows
+    touched so far rather than the table (see ``_Moments``). The result is
+    bitwise the dense step's, except where a decayed first moment off the
+    given rows has underflowed to -0.0, to which the dense step adds +0.0.
     Rejects non-finite gradients with a diagnostic rather than poisoning the
     moment accumulators.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
+    if len(params) != len(grads) or (rows is not None and len(rows) != len(params)):
+        raise ValueError("params/grads/rows length mismatch")
+    if rows is not None:
+        rows = [np.asarray(r, dtype=np.int64) for r in rows]
     for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"param {i}: shape {p.shape} vs grad {g.shape}")
+        shape = p.shape if rows is None else (len(rows[i]),) + p.shape[1:]
+        if g.shape != shape:
+            raise ValueError(f"param {i}: grad shape {g.shape}, expected {shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {i}")
-    if not state.first_moments:
-        state.first_moments = [np.zeros_like(p) for p in params]
-        state.second_moments = [np.zeros_like(p) for p in params]
+        if rows is not None and not np.diff(np.sort(rows[i])).all():
+            raise ValueError(f"param {i}: repeated rows")
+    if not state.moments:
+        state.moments = [_Moments(p, rows is not None) for p in params]
     state.step_count += 1
     t = state.step_count
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, state.first_moments, state.second_moments):
+    for i, (p, g, mom) in enumerate(zip(params, grads, state.moments)):
+        at = mom.positions(None if rows is None else rows[i])
+        m, v, w0, w1 = mom.arrays()
+        if at is not None and 2 * len(at) >= len(m):
+            # the rows cover at least half the moments: one scatter into a zeroed
+            # workspace, then whole-array steps beat two gathers and scatters
+            w1.fill(0.0)
+            w1[at] = g
+            g, at = w1, None
         m *= b1
-        m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPSILON)
+        if at is None:
+            m += np.multiply(g, 1.0 - b1, out=w0)
+            np.multiply(g, 1.0 - b2, out=w0)
+            v += np.multiply(w0, g, out=w0)
+        else:
+            m[at] += (1.0 - b1) * g
+            v[at] += (1.0 - b2) * g * g
+        # lr * (m / bias1) / (sqrt(v / bias2) + eps), through the workspaces
+        np.divide(m, bias1, out=w0)
+        w0 *= state.learning_rate
+        np.divide(v, bias2, out=w1)
+        np.sqrt(w1, out=w1)
+        w1 += _ADAM_EPSILON
+        w0 /= w1
+        held = mom.held_rows()
+        if held is None:
+            p -= w0
+        else:
+            p[held] -= w0
     return params
 
 

@@ -134,6 +134,8 @@ class Config:
             raise ValueError("ratings_path and users_path are required")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.rec_k < 1:
+            raise ValueError(f"config key 'rec_k' must be >= 1, got {self.rec_k!r}")
 
     def resolved_store_dir(self) -> str:
         env = os.environ.get(STORE_ENV_VAR)

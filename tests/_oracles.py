@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from attrunlearn import calibration, mi, nets
+from attrunlearn import calibration, cf, mi, nets
 from attrunlearn.cf import CFModel
 from attrunlearn.data import ML100K_OCCUPATIONS, Attribute, AttributeTable, InteractionDataset
 from attrunlearn.evaluation import bacc
@@ -154,6 +154,56 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
         nlls.append(nll)
         dists.append(float(np.linalg.norm(U - U0)))
     return U, np.array(mis), np.array(nlls), np.array(dists)
+
+
+def reference_ball_descent(U0, eps, step_size, steps):
+    """Dense twin of ``calibration.BallDescent``: each (idx, grad_rows) of
+    ``steps`` is scattered into an N x d zero gradient, stepped through Adam
+    without rows, then projected out of place. Yields (U, distance) per step."""
+    U = U0.copy()
+    opt = nets.OptimizerState(learning_rate=step_size)
+    for idx, grad_rows in steps:
+        full = np.zeros_like(U)
+        full[idx] = grad_rows
+        nets.optimizer_step(opt, [U], [full])
+        U = calibration.project_ball(U, U0, eps)
+        yield U, float(np.linalg.norm(U - U0))
+
+
+def reference_train_cf(dataset, config):
+    """BPR training as ``cf.train_cf`` does it, with each batch's gradients
+    scattered by three ``np.add.at`` calls (users; items at the positives,
+    then at the negatives) into N x d and M x d zero tables for a dense Adam
+    step. Returns (user embeddings, item embeddings, per-epoch losses)."""
+    rng = np.random.default_rng(config.seed)
+    n, m, d = dataset.n_users, dataset.n_items, config.dim
+    user_emb = 0.1 * rng.standard_normal((n, d))
+    item_emb = 0.1 * rng.standard_normal((m, d))
+    positives = cf._membership_bitmap(dataset.train_pairs, n, m)
+    diag_idx = rng.integers(0, len(dataset.train_pairs), size=min(4096, len(dataset.train_pairs)))
+    diag_pairs = dataset.train_pairs[diag_idx]
+    diag_triples = np.column_stack(
+        [diag_pairs, cf._sample_negatives(rng, diag_pairs[:, 0], m, positives)])
+    state = nets.OptimizerState(learning_rate=config.learning_rate)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(dataset.train_pairs))
+        for start in range(0, len(order), config.batch_size):
+            pairs = dataset.train_pairs[order[start : start + config.batch_size]]
+            u, i = pairs[:, 0], pairs[:, 1]
+            j = cf._sample_negatives(rng, u, m, positives)
+            du = item_emb[i] - item_emb[j]
+            x = np.einsum("nd,nd->n", user_emb[u], du)
+            coeff = -cf._sigmoid(-x)[:, None] / len(u)
+            l2 = cf._L2_WEIGHT / len(u)
+            gu = np.zeros_like(user_emb)
+            gi = np.zeros_like(item_emb)
+            np.add.at(gu, u, coeff * du + l2 * user_emb[u])
+            np.add.at(gi, i, coeff * user_emb[u] + l2 * item_emb[i])
+            np.add.at(gi, j, -coeff * user_emb[u] + l2 * item_emb[j])
+            nets.optimizer_step(state, [user_emb, item_emb], [gu, gi])
+        losses.append(cf.pairwise_loss(user_emb, item_emb, diag_triples))
+    return user_emb, item_emb, losses
 
 
 def reference_split(raw, min_interactions: int = 5) -> InteractionDataset:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import reference_calibrate
+from _oracles import reference_ball_descent, reference_calibrate
 from attrunlearn import calibration, data, evaluation, nets
 from attrunlearn.calibration import CalibrationConfig, CalibrationError, project_ball
 from attrunlearn.scenario import calibrate_many
@@ -60,6 +60,54 @@ class TestProjectBall:
             twice = project_ball(once, U0, eps)
             assert twice.tobytes() == once.tobytes()
             assert np.linalg.norm(once - U0) <= eps + 1e-9
+
+
+class TestBallDescent:
+    """``BallDescent`` against a dense Adam step on an N x d gradient and the
+    out-of-place projection."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 1e3])  # pinned, active, never reached
+    def test_matches_dense_reference_bitwise(self, eps):
+        rng = np.random.default_rng(6)
+        U0 = rng.standard_normal((300, 4))
+        original = U0.tobytes()
+        steps = []
+        for _ in range(40):  # 480 sampled rows: the Adam moments go dense part way
+            idx = rng.choice(300, size=12, replace=False)
+            grad_rows = rng.standard_normal((12, 4))
+            grad_rows[:2] = 0.0  # sampled rows whose gradient is exactly zero
+            steps.append((idx, grad_rows))
+        descent = calibration.BallDescent(U0, eps, step_size=1e-2)
+        rescaled = 0
+        for (idx, grad_rows), (U, distance) in zip(
+            steps, reference_ball_descent(U0, eps, 1e-2, steps)
+        ):
+            assert descent.step(idx, grad_rows) == distance
+            assert descent.U.tobytes() == U.tobytes()
+            rescaled += abs(distance - eps) <= 1e-9  # on the sphere: the ball was active
+        assert descent.opt.held_rows(0) is None
+        assert U0.tobytes() == original
+        assert rescaled == 0 if eps > 1.0 else rescaled > 20
+
+    def test_one_adam_step_and_one_projection_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        U0 = rng.normal(size=(40, 3))
+        calls = []
+        real_step, real_project = calibration.optimizer_step, calibration.project_ball
+
+        def step(state, params, grads, **kwargs):
+            calls.append(("adam", len(params), [g.shape for g in grads]))
+            return real_step(state, params, grads, **kwargs)
+
+        def project(*args, **kwargs):
+            calls.append(("project",))
+            return real_project(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "optimizer_step", step)
+        monkeypatch.setattr(calibration, "project_ball", project)
+        cfg = CalibrationConfig(iterations=5, batch_size=8, seed=1)
+        calibration.calibrate(U0, np.arange(40) % 2, cfg)
+        assert calls == [("adam", 1, [(8, 3)]), ("project",)] * 5
 
 
 class TestCalibrate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import float_digest, top_k
+from _oracles import float_digest, reference_train_cf, top_k
 from attrunlearn import cf, data
 
 
@@ -54,6 +54,29 @@ class TestTraining:
         assert float_digest(
             model.user_embeddings, model.item_embeddings, model.train_diagnostics["epoch_losses"]
         ) == "47ddfbddaff663813e642302d8df89c7313c7dffaf6190ebb20f4f16a470f878"
+
+    @pytest.mark.parametrize("case", ["shared-rows", "synthetic"])
+    def test_matches_add_at_reference(self, synthetic, case):
+        if case == "shared-rows":
+            # one batch holds every pair: user 0 appears twice, and its only
+            # possible negative, item 2, is user 1's positive in the same batch
+            dataset = data.InteractionDataset(
+                n_users=2,
+                n_items=3,
+                train_pairs=np.array([[0, 0], [0, 1], [1, 2]]),
+                test_items=np.array([2, 0]),
+                user_ids=np.arange(2),
+                item_ids=np.arange(3),
+            )
+            config = cf.CFTrainConfig(dim=4, epochs=6, learning_rate=0.05, batch_size=8, seed=2)
+        else:
+            dataset = synthetic[0]
+            config = cf.CFTrainConfig(dim=8, epochs=2, batch_size=128, seed=5)
+        model = cf.train_cf(dataset, config)
+        users, items, losses = reference_train_cf(dataset, config)
+        assert model.user_embeddings.tobytes() == users.tobytes()
+        assert model.item_embeddings.tobytes() == items.tobytes()
+        assert model.train_diagnostics["epoch_losses"] == losses
 
     def test_loss_decreases_30_percent(self, synthetic):
         dataset, _ = synthetic

@@ -205,6 +205,26 @@ def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, a
     assert not list(tmp_path.glob("out/model_*"))
 
 
+def test_rec_k_below_one_exit_1_before_training(workspace, tmp_path, capsys):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    payload = json.loads(config_path.read_text())
+    payload["rec_k"] = 0
+    config_path.write_text(json.dumps(payload))
+    assert cli_main(["rec-eval", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'rec_k'" in err
+    assert not list(tmp_path.glob("out/model_*"))
+
+
+@pytest.mark.parametrize("sigma", [",", "", "abc", "0.5,abc", "-1", "0,-0.5", "nan", "inf"])
+def test_bad_sigma_exit_1_before_training(workspace, tmp_path, capsys, sigma):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    assert cli_main(["dp", "--config", str(config_path), "--sigma", sigma]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma")
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_corrupt_embeddings_file_exit_1(workspace, tmp_path, capsys):
     root, cfg = workspace
     assert cli_main(["dp", "--config", str(cfg), "--sigma", "0", "--seed", "1"]) == 0

@@ -96,6 +96,65 @@ class TestLoaders:
         assert dataset.n_users == 943  # every user has >=20 ratings
 
 
+def line_reader_ratings(path, sep):
+    """The ratings matrix as the per-line reader builds it."""
+    rows = data._parse_lines(path, sep, 4, lambda parts: [int(p) for p in parts])
+    return np.array(rows, dtype=np.int64)
+
+
+class TestBulkRatings:
+    """``_parse_ratings`` reads plain files in bulk, bitwise as the line reader does."""
+
+    def assert_bulk_equals_line_reader(self, path, sep):
+        text = Path(path).read_text(encoding="latin-1")
+        assert data._bulk_ints(text, sep, 4) is not None  # the bulk path is taken
+        got, want = data._parse_ratings(path, sep), line_reader_ratings(path, sep)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_ml100k_fixture(self, tmp_path):
+        dpath, _ = write_fixture(tmp_path, FIXTURE_RATINGS, FIXTURE_USERS)
+        self.assert_bulk_equals_line_reader(dpath, "\t")
+
+    def test_ml100k_surrogate(self, tmp_path):
+        root = generate_ml100k_like(tmp_path / "ml100k")
+        self.assert_bulk_equals_line_reader(root / "u.data", "\t")
+
+    def test_ml1m_fixture(self, tmp_path):
+        rpath, _ = write_ml1m_users(tmp_path, np.random.default_rng(4))
+        self.assert_bulk_equals_line_reader(rpath, "::")
+
+    @pytest.mark.parametrize("text,bulk", [
+        ("1\t2\t3\t4\r\n\n007\t6\t7\t8", True),  # CRLF, a blank line, leading zeros
+        ("1\t2\t3\t 4\n", False),  # int() takes padding
+        ("+1\t2\t3\t4\n", False),
+        ("1\t2\t3\t123456789012345678\n", True),
+        ("1\t2\t3\t1234567890123456789\n", False),  # too long to take in bulk
+    ])
+    def test_irregular_text_parses_as_line_reader(self, tmp_path, text, bulk):
+        path = tmp_path / "u.data"
+        path.write_bytes(text.encode("latin-1"))
+        assert (data._bulk_ints(path.read_text(encoding="latin-1"), "\t", 4) is not None) == bulk
+        want = line_reader_ratings(path, "\t")
+        assert data._parse_ratings(path, "\t").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("1\t2\t3\n1\t2\t3\t4\t5\n", ":1: expected 4 fields, got 3"),
+        ("1\t2\t3\t4\n\n1::2::3::4\n", ":3: expected 4 fields, got 1"),
+        ("1\t2\t3\t4\n1\tx\t3\t4\n", ":2: invalid literal"),
+        # four fields with one empty: twelve numbers that could pass for three rows
+        ("\t1\t2\t3\n" * 4, ":1: invalid literal"),
+        ("1\t2\t\t3\n" * 4, ":1: invalid literal"),
+        ("\n\n", "no rating rows"),
+        ("-1\t2\t3\t4\n", "negative ids"),
+    ])
+    def test_malformed_text_still_named(self, tmp_path, text, message):
+        path = tmp_path / "u.data"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            data._parse_ratings(path, "\t")
+
+
 class TestBinning:
     def test_age_bin_boundaries(self, tmp_path):
         users = [(1, 27, "M", "student"), (2, 28, "M", "student"), (3, 40, "M", "student"),

@@ -171,6 +171,84 @@ class TestOptimizer:
             nets.optimizer_step(state, [np.zeros(2)], [np.array([np.nan, 0.0])])
 
 
+class TestRowForm:
+    """``optimizer_step`` with ``rows=`` against the dense step on a full gradient."""
+
+    @staticmethod
+    def run_both(rng, shapes, batches, steps):
+        """Step dense and row-form copies of random tables side by side, with
+        row 0 of every sampled gradient exactly zero; checks them bitwise
+        after every step and returns the row-form state."""
+        dense_params = [rng.standard_normal(shape) for shape in shapes]
+        row_params = [p.copy() for p in dense_params]
+        dense = nets.OptimizerState(learning_rate=1e-2)
+        by_rows = nets.OptimizerState(learning_rate=1e-2)
+        for _ in range(steps):
+            rows, grads, fulls = [], [], []
+            for p, b in zip(dense_params, batches):
+                idx = rng.choice(len(p), size=b, replace=False)
+                g = rng.standard_normal((b,) + p.shape[1:])
+                g[0] = 0.0
+                full = np.zeros_like(p)
+                full[idx] = g
+                rows.append(idx)
+                grads.append(g)
+                fulls.append(full)
+            nets.optimizer_step(dense, dense_params, fulls)
+            nets.optimizer_step(by_rows, row_params, grads, rows=rows)
+            for want, got in zip(dense_params, row_params):
+                assert got.tobytes() == want.tobytes()
+        return by_rows
+
+    def test_mostly_untouched_table(self):
+        state = self.run_both(np.random.default_rng(0), [(2000, 4)], [16], steps=40)
+        held = state.held_rows(0)
+        assert held is not None and len(held) < 1000  # never went dense
+
+    def test_crosses_half_table_switch(self):
+        shapes, batches = [(60, 3), (25, 2)], [7, 5]
+        # one step touches fewer than half of each table's rows ...
+        state = self.run_both(np.random.default_rng(1), shapes, batches, steps=1)
+        assert [len(state.held_rows(i)) for i in (0, 1)] == batches
+        # ... and thirty touch more, so the run goes dense part way through
+        state = self.run_both(np.random.default_rng(1), shapes, batches, steps=30)
+        assert state.held_rows(0) is None and state.held_rows(1) is None
+
+    def test_sampled_zero_gradient_row_unchanged(self):
+        p = np.random.default_rng(2).standard_normal((10, 3))
+        before = p.copy()
+        state = nets.OptimizerState(learning_rate=0.1)
+        nets.optimizer_step(state, [p], [np.zeros((2, 3))], rows=[np.array([4, 7])])
+        assert p.tobytes() == before.tobytes()
+        assert state.held_rows(0).tolist() == [4, 7]
+
+    def test_dense_step_after_row_steps(self):
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((50, 2))
+        q = p.copy()
+        dense, by_rows = nets.OptimizerState(), nets.OptimizerState()
+        for _ in range(3):
+            idx = rng.choice(50, size=4, replace=False)
+            g = rng.standard_normal((4, 2))
+            full = np.zeros_like(p)
+            full[idx] = g
+            nets.optimizer_step(dense, [p], [full])
+            nets.optimizer_step(by_rows, [q], [g], rows=[idx])
+        g = rng.standard_normal((50, 2))
+        nets.optimizer_step(dense, [p], [g])
+        nets.optimizer_step(by_rows, [q], [g])
+        assert q.tobytes() == p.tobytes()
+
+    def test_bad_rows_rejected(self):
+        state = nets.OptimizerState()
+        with pytest.raises(ValueError, match="repeated rows"):
+            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((2, 2))], rows=[[3, 3]])
+        with pytest.raises(ValueError, match="grad shape"):
+            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((3, 2))], rows=[[0, 1]])
+        with pytest.raises(ValueError, match="mismatch"):
+            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((1, 2))], rows=[])
+
+
 class TestGradientCheck:
     def test_random_instances_under_tolerance(self):
         rng = np.random.default_rng(2024)
