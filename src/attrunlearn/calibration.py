@@ -118,16 +118,9 @@ def project_ball(
 
 
 class BallDescent:
-    """Adam descent of a copy of U0 (``U``) inside the eps-ball around U0.
-
-    Each step costs the rows it touches, not the table: the Adam step takes
-    the gradient rows in row form (``nets.optimizer_step``), and U - U0 is
-    kept in a buffer that is refreshed on the rows that step changed. The
-    ball test takes the norm of that whole buffer, in row order, because a
-    norm over the touched rows alone sums in another order and is not
-    bitwise the same. Every step equals a dense Adam step on an N x d
-    gradient, zero off the sampled rows, followed by ``project_ball``.
-    """
+    """Adam descent of a copy of U0 (``U``) inside the eps-ball around U0,
+    with U - U0 kept in ``diff``; the module docstring says why each step
+    equals a dense Adam step followed by :func:`project_ball`."""
 
     def __init__(self, U0: np.ndarray, eps: float, step_size: float):
         self.U0, self.eps = U0, eps
