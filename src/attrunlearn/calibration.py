@@ -6,13 +6,14 @@ epsilon-ball around the original embeddings after every update. With the
 default one ascent step, an iteration runs the classifier forward twice: once
 in :func:`mi.fit_variational_step` and once in :func:`mi.contrastive_step`.
 
-The descent step (:class:`BallDescent`) costs the rows it touches rather than
-the table. Adam takes the batch's gradient rows in row form
-(``nets.optimizer_step(..., rows=...)``). That step decays the held moments,
-adds the gradient on the batch rows only and updates through preallocated
-workspaces. Rows never touched are skipped until half the table has been
-touched. This is exact: their moments and gradient are zero, so a dense step
-leaves them bitwise unchanged. U - U0 lives in a buffer refreshed on the
+The descent step (:class:`BallDescent`) allocates no N x d array. Adam takes
+the batch's gradient rows in row form (``nets.optimizer_step(..., rows=...)``).
+That step decays the held moments, adds the gradient on the batch rows only
+and updates through preallocated workspaces. Rows never touched are skipped
+until half the table has been touched. This is exact: their moments and
+gradient are zero, so a dense step leaves them bitwise unchanged. Apart from
+the ball norm, the step thus costs the rows touched so far, but only while
+iterations x batch size < N/2; after that it is O(N x d) again. U - U0 lives in a buffer refreshed on the
 changed rows, and the ball test takes the norm of the whole buffer in row
 order (a norm over the touched rows alone sums in another order). Inside the
 ball that one norm is also the step's distance. The result is bitwise the

@@ -138,8 +138,12 @@ def _bulk_ints(text: str, sep: str, width: int) -> np.ndarray | None:
     ``width`` plain digit fields joined by ``sep``, else None.
 
     On such text this is bitwise what the line reader returns; anything
-    else (signs, padding, a wrong field count, no rows) is left to it.
+    else (signs, padding, a wrong field count, no rows) is left to it. Text
+    that already holds a space goes to it too, since the bulk parse would
+    read that space as a separator.
     """
+    if " " in text:
+        return None
     body = text.replace(sep, " ")
     b = np.frombuffer(body.encode("latin-1"), dtype=np.uint8)
     counts = np.bincount(b, minlength=256)

@@ -138,21 +138,26 @@ class TestBulkRatings:
         want = line_reader_ratings(path, "\t")
         assert data._parse_ratings(path, "\t").tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("text,message", [
-        ("1\t2\t3\n1\t2\t3\t4\t5\n", ":1: expected 4 fields, got 3"),
-        ("1\t2\t3\t4\n\n1::2::3::4\n", ":3: expected 4 fields, got 1"),
-        ("1\t2\t3\t4\n1\tx\t3\t4\n", ":2: invalid literal"),
+    @pytest.mark.parametrize("text,sep,message", [
+        ("1\t2\t3\n1\t2\t3\t4\t5\n", "\t", ":1: expected 4 fields, got 3"),
+        ("1\t2\t3\t4\n\n1::2::3::4\n", "\t", ":3: expected 4 fields, got 1"),
+        ("1\t2\t3\t4\n1\tx\t3\t4\n", "\t", ":2: invalid literal"),
         # four fields with one empty: twelve numbers that could pass for three rows
-        ("\t1\t2\t3\n" * 4, ":1: invalid literal"),
-        ("1\t2\t\t3\n" * 4, ":1: invalid literal"),
-        ("\n\n", "no rating rows"),
-        ("-1\t2\t3\t4\n", "negative ids"),
+        ("\t1\t2\t3\n" * 4, "\t", ":1: invalid literal"),
+        ("1\t2\t\t3\n" * 4, "\t", ":1: invalid literal"),
+        ("\n\n", "\t", "no rating rows"),
+        ("-1\t2\t3\t4\n", "\t", "negative ids"),
+        # a space is not the separator, even where it stands for one
+        ("1 2 3 4\n", "\t", ":1: expected 4 fields, got 1"),
+        ("1 2\t3\t4\n", "\t", ":1: expected 4 fields, got 3"),
+        ("1::2::3::4\n1::2 3::4\n", "::", ":2: expected 4 fields, got 3"),
     ])
-    def test_malformed_text_still_named(self, tmp_path, text, message):
+    def test_malformed_text_still_named(self, tmp_path, text, sep, message):
         path = tmp_path / "u.data"
         path.write_text(text)
+        assert data._bulk_ints(text, sep, 4) is None
         with pytest.raises(ValueError, match=message):
-            data._parse_ratings(path, "\t")
+            data._parse_ratings(path, sep)
 
 
 class TestBinning:
