@@ -1,23 +1,22 @@
 """Step 1 of the unlearning pipeline: per-attribute embedding calibration.
 
-Alternates one classifier likelihood-ascent step with one embedding descent
-step on the contrastive MI estimate, projecting back onto the Frobenius
-epsilon-ball around the original embeddings after every update. With the
-default one ascent step, an iteration runs the classifier forward twice: once
-in :func:`mi.fit_variational_step` and once in :func:`mi.contrastive_step`.
+Calibration runs :func:`combination.contrastive_descent`, the one descent
+loop, on one matrix under the weight 1.0: per iteration, ``inner_steps``
+classifier ascent steps, then one embedding descent step on the contrastive MI
+estimate, projected onto the Frobenius epsilon-ball around U0.
 
 The descent step (:class:`BallDescent`) allocates no N x d array. Adam takes
-the batch's gradient rows in row form (``nets.optimizer_step(..., rows=...)``).
-That step decays the held moments, adds the gradient on the batch rows only
-and updates through preallocated workspaces. Rows never touched are skipped
-until half the table has been touched. This is exact: their moments and
-gradient are zero, so a dense step leaves them bitwise unchanged. Apart from
-the ball norm, the step thus costs the rows touched so far, but only while
-iterations x batch size < N/2; after that it is O(N x d) again. U - U0 lives in a buffer refreshed on the
-changed rows, and the ball test takes the norm of the whole buffer in row
-order (a norm over the touched rows alone sums in another order). Inside the
-ball that one norm is also the step's distance. The result is bitwise the
-dense step on an N x d gradient followed by :func:`project_ball`.
+the batch's gradient rows in row form, ``nets.optimizer_step(..., rows=...)``:
+it decays the held moments, adds the gradient on the batch rows only and
+updates through preallocated workspaces. Rows never touched are skipped until
+half the table has been touched, which is exact: their moments and gradient
+are zero, so a dense step leaves them bitwise unchanged. Apart from the ball
+norm, the step thus costs the rows touched so far while iterations x batch
+size < N/2, and O(N x d) after that. U - U0 lives in a buffer refreshed on the
+changed rows; the ball test takes the norm of the whole buffer in row order
+(a norm over the touched rows alone sums in another order), and inside the
+ball that norm is also the step's distance. The result is bitwise the dense
+step on an N x d gradient followed by :func:`project_ball`.
 """
 
 from __future__ import annotations
@@ -72,6 +71,8 @@ class CalibrationResult:
 
 
 class CalibrationError(RuntimeError):
+    """A non-finite MI estimate; ``trace`` holds the estimates of the iterations before it."""
+
     def __init__(self, message: str, trace: list[float]):
         super().__init__(f"{message}; MI trace tail: {trace[-10:]}")
         self.trace = trace
@@ -159,11 +160,14 @@ def calibrate(
 ) -> CalibrationResult:
     """Remove one attribute's information from a copy of U0.
 
-    Per iteration: sample a batch, take ``inner_steps`` classifier ascent
-    steps, evaluate the batch MI estimate and its row gradient in one
-    contrastive step, descend the sampled embedding rows through Adam, then
-    project onto the epsilon-ball. Never mutates U0 or the labels.
+    Per iteration of :func:`combination.contrastive_descent`: sample a batch,
+    take ``inner_steps`` classifier ascent steps, evaluate the batch MI
+    estimate and its row gradient in one contrastive step, descend the
+    sampled rows through Adam, then project onto the epsilon-ball. Never
+    mutates U0 or the labels.
     """
+    from .combination import contrastive_descent  # combination imports this module
+
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(U0):
         raise ValueError(f"{len(labels)} labels for {len(U0)} users")
@@ -173,37 +177,17 @@ def calibrate(
         raise ValueError("U0 has non-finite entries")
 
     n, d = U0.shape
-    eps = config.eps_ratio * n
     seed = _attribute_seed(config.seed, attribute)
-    rng = np.random.default_rng(seed)
     model = mi.make_variational_model(
         d, cardinality, seed=seed + 1, learning_rate=config.variational_lr, attribute=attribute
     )
-    descent = BallDescent(U0, eps, config.step_size)
-    sampler = mi.BatchSampler(n, config.batch_size, rng) if config.iterations else None
-
-    mi_trace: list[float] = []
-    nll_trace: list[float] = []
-    dist_trace: list[float] = []
-    for _ in range(config.iterations):
-        idx = sampler.next_batch()
-        batch, batch_labels = descent.U[idx], labels[idx]
-        for _ in range(config.inner_steps):
-            nll = mi.fit_variational_step(model, batch, batch_labels)
-        estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels)
-        if not np.isfinite(estimate):
-            raise CalibrationError(f"non-finite MI estimate for {attribute!r}", mi_trace)
-        dist_trace.append(descent.step(idx, grad_rows))
-        mi_trace.append(estimate)
-        nll_trace.append(nll)
-
+    descent = BallDescent(U0, config.eps_ratio * n, config.step_size)
+    _, mi_trace, nll_trace, dist_trace, _ = contrastive_descent(
+        [descent.U], [labels], [model], config.iterations, config.batch_size, seed,
+        descents=[descent], inner_steps=config.inner_steps,
+    )
     return CalibrationResult(
-        embeddings=descent.U,
-        attribute=attribute,
-        mi_trace=np.array(mi_trace),
-        nll_trace=np.array(nll_trace),
-        distance_trace=np.array(dist_trace),
-        config_hash=config.hash(),
+        descent.U, attribute, mi_trace, nll_trace, dist_trace, config_hash=config.hash()
     )
 
 

@@ -67,12 +67,6 @@ def _write_report(config: Config, name: str, payload: dict) -> Path:
     return path
 
 
-def _load_embeddings(arg, model) -> np.ndarray:
-    if arg is None:
-        return model.user_embeddings
-    return read_embedding_file(arg)
-
-
 def _parse_sigmas(text: str) -> list[float]:
     """The comma-separated noise scales of ``dp --sigma``: at least one, each
     a finite number >= 0."""
@@ -119,9 +113,22 @@ def _dispatch(args) -> int:
     else:
         names = [name for request in script.requests for name in request] if script else []
     entries = table.entries(names)
-    # an attack on an embedding file needs no recommender
-    skip_model = args.command == "attack" and args.embeddings is not None
-    model = None if skip_model else ensure_model(config, dataset)
+    # so do requests naming no attribute, or one attribute to bound-check
+    if args.command in ("combine", "bound-check") and not names:
+        raise ValueError(f"--attrs: no attribute in {args.attrs!r}")
+    if args.command == "bound-check" and len(names) < 2:
+        raise ValueError(f"bound-check needs at least 2 attributes, got {names}")
+    # and an embedding file or a trace directory that cannot serve
+    emb_file = getattr(args, "embeddings", None)
+    U = None if emb_file is None else read_embedding_file(emb_file)
+    if U is not None and len(U) != dataset.n_users:
+        raise ValueError(f"{len(U)} user embedding rows for {dataset.n_users} users")
+    trace_csv = getattr(args, "trace_csv", None)
+    if trace_csv and not Path(trace_csv).parent.is_dir():
+        raise ValueError(f"--trace-csv: directory {str(Path(trace_csv).parent)!r} does not exist")
+    # an attack on an embedding file needs no recommender; U is the user matrix worked on
+    model = None if args.command == "attack" and U is not None else ensure_model(config, dataset)
+    U = model.user_embeddings if U is None else U
 
     if args.command == "train":
         _write_report(
@@ -137,12 +144,9 @@ def _dispatch(args) -> int:
 
     if args.command == "calibrate":
         name, labels, cardinality = entries[0]
-        result = calibrate(
-            model.user_embeddings, labels, config.calibration,
-            attribute=name, cardinality=cardinality,
-        )
+        result = calibrate(U, labels, config.calibration, attribute=name, cardinality=cardinality)
         store = EmbeddingStore(config.resolved_store_dir())
-        keys = store.key(model.user_embeddings, entries, config.calibration.hash())
+        keys = store.key(U, entries, config.calibration.hash())
         store.put(keys[name], result.embeddings)
         if args.trace_csv:
             trace_to_csv(result, args.trace_csv)
@@ -167,14 +171,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "attack":
-        U = _load_embeddings(args.embeddings, model)
         folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         report = attack_metrics(U, table, folds, max_iterations=config.attack.max_iterations)
         _write_report(config, "attack_report.json", json.loads(report.to_json()))
         return 0
 
     if args.command == "rec-eval":
-        U = _load_embeddings(args.embeddings, model)
         report = hr_ndcg_at_k(U, model.item_embeddings, dataset, k=config.rec_k)
         _write_report(config, "rec_report.json", json.loads(report.to_json()))
         return 0
@@ -189,10 +191,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bound-check":
-        U0 = model.user_embeddings
-        results = calibrate_many(U0, entries, config.calibration, config.workers)
+        results = calibrate_many(U, entries, config.calibration, config.workers)
         mats = [results[name].embeddings for name in names]
-        report = bound_check(U0, mats, entries, config.calibration, config.combination)
+        report = bound_check(U, mats, entries, config.calibration, config.combination)
         _write_report(config, "bound_check.json", json.loads(report.to_json()))
         return 0
 
@@ -202,7 +203,7 @@ def _dispatch(args) -> int:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for sigma in sigmas:
-            noisy = dp_baseline(model.user_embeddings, sigma, args.seed)
+            noisy = dp_baseline(U, sigma, args.seed)
             write_embedding_file(out / f"dp_sigma_{sigma:g}.emb", noisy)
             attack = attack_metrics(
                 noisy, table, folds, max_iterations=config.attack.max_iterations

@@ -2,8 +2,9 @@
 
 The weights are optimized against the summed contrastive MI estimate across
 all requested attributes, with a softmax projection keeping them on the
-simplex. Also houses the averaging ablation, the end-to-end joint optimizer,
-and the empirical two-step-vs-joint gap check.
+simplex. Also houses :func:`contrastive_descent`, the one descent loop that
+calibration, the weight fit and the end-to-end joint optimizer run, the
+averaging ablation, and the empirical two-step-vs-joint gap check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mi
-from .calibration import BallDescent, CalibrationConfig, _attribute_seed
+from .calibration import BallDescent, CalibrationConfig, CalibrationError, _attribute_seed
 
 
 @dataclass
@@ -84,10 +85,7 @@ def combine(embeddings: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
     shape = embeddings[0].shape
     if any(e.shape != shape for e in embeddings):
         raise ValueError("embedding shapes differ")
-    out = np.zeros(shape)
-    for w, e in zip(alpha, embeddings):
-        out += w * e
-    return out
+    return _weighted_sum(alpha, embeddings)
 
 
 def _label_arrays(attributes: list[tuple[str, np.ndarray, int]]):
@@ -95,6 +93,29 @@ def _label_arrays(attributes: list[tuple[str, np.ndarray, int]]):
     labels = [np.asarray(a[1], dtype=np.int64) for a in attributes]
     cards = [int(a[2]) for a in attributes]
     return names, labels, cards
+
+
+def _weighted_sum(alpha, arrays: list[np.ndarray]) -> np.ndarray:
+    """alpha-weighted sum of equally shaped arrays, begun at the first term."""
+    out = alpha[0] * arrays[0]
+    for w, a in zip(alpha[1:], arrays[1:]):
+        out += w * a
+    return out
+
+
+def _contrastive_steps(models, batch, batch_labels, trace=()) -> tuple[float, list[np.ndarray]]:
+    """Summed estimate on ``batch`` and each classifier's row gradient; a
+    non-finite estimate raises CalibrationError carrying ``trace``."""
+    steps = [mi.contrastive_step(m, batch, y) for m, y in zip(models, batch_labels)]
+    for model, (estimate, _) in zip(models, steps):
+        if not np.isfinite(estimate):
+            raise CalibrationError(f"non-finite MI estimate for {model.attribute!r}", trace)
+    return sum(e for e, _ in steps), [g for _, g in steps]
+
+
+def _alpha_gradient(grads: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
+    """d/d alpha_i = sum over classifiers t of <grads[t], rows[i]>."""
+    return sum(np.array([np.sum(g * r) for r in rows]) for g in grads)
 
 
 def summed_estimate_and_alpha_gradient(
@@ -108,23 +129,55 @@ def summed_estimate_and_alpha_gradient(
 
     The alpha gradient chains the estimate's embedding gradient into each
     component: d/d alpha_i = sum over batch rows of <dI/dU(alpha), U_i>.
-    Classifiers are not touched. A non-finite estimate raises RuntimeError
-    naming the model's attribute.
+    Classifiers are not touched. A non-finite estimate raises a RuntimeError
+    (:class:`CalibrationError`) naming the model's attribute.
     """
-    k = len(component_rows)
-    batch = sum(w * r for w, r in zip(alpha, component_rows))
-    total = 0.0
-    grad_alpha = np.zeros(k)
-    grad_batch = np.zeros_like(batch)
-    for t, model in enumerate(models):
-        estimate, grad_rows = mi.contrastive_step(model, batch, batch_labels[t])
-        if not np.isfinite(estimate):
-            raise RuntimeError(f"non-finite MI estimate for {model.attribute!r}")
-        total += estimate
-        grad_batch += grad_rows
-        for i in range(k):
-            grad_alpha[i] += float(np.sum(grad_rows * component_rows[i]))
-    return total, grad_alpha, grad_batch
+    total, grads = _contrastive_steps(models, _weighted_sum(alpha, component_rows), batch_labels)
+    return total, _alpha_gradient(grads, component_rows), sum(grads[1:], grads[0])
+
+
+def contrastive_descent(
+    mats: list[np.ndarray], labels: list[np.ndarray], models: list,
+    iterations: int, batch_size: int, seed: int, *, descents: list[BallDescent] = (),
+    alpha_step: float | None = None, inner_steps: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The descent loop under calibration, the weight fit and the joint optimizer.
+
+    Weights start uniform. Per iteration: sample a batch of users, combine
+    the batch rows of ``mats`` under the weights, take ``inner_steps`` ascent
+    steps per classifier (one per label array), then one contrastive step per
+    classifier for the summed estimate and its batch-row gradient. Each
+    :class:`BallDescent` in ``descents`` (their U are ``mats``) descends its
+    rows along its weight times that gradient. Given ``alpha_step`` the
+    weights take a gradient step and the softmax projection; else no weight
+    gradient is formed, and one matrix enters every step exactly (weight 1.0).
+
+    Returns the weights, then per iteration the summed estimate, the last
+    NLL per classifier and the distance per descent (both iteration-major)
+    and the weights, (iterations, k). A non-finite estimate raises
+    :class:`CalibrationError`.
+    """
+    alpha = np.full(len(mats), 1.0 / len(mats))
+    sampler = mi.BatchSampler(len(mats[0]), batch_size, np.random.default_rng(seed))
+    mi_trace, nll_trace, dist_trace, alpha_trace = [], [], [], []
+    for _ in range(iterations):
+        idx = sampler.next_batch()
+        rows = [m[idx] for m in mats]
+        batch = _weighted_sum(alpha, rows)
+        batch_labels = [lab[idx] for lab in labels]
+        for _ in range(inner_steps):
+            nlls = [mi.fit_variational_step(m, batch, y) for m, y in zip(models, batch_labels)]
+        total, grads = _contrastive_steps(models, batch, batch_labels, mi_trace)
+        if descents:
+            grad = sum(grads[1:], grads[0])
+            dist_trace += [descent.step(idx, a * grad) for a, descent in zip(alpha, descents)]
+        if alpha_step is not None:
+            alpha = project_simplex_softmax(alpha - alpha_step * _alpha_gradient(grads, rows))
+            alpha_trace.append(alpha)
+        mi_trace.append(total)
+        nll_trace += nlls
+    return (alpha, np.array(mi_trace), np.array(nll_trace), np.array(dist_trace),
+            np.array(alpha_trace).reshape(len(alpha_trace), len(alpha)))
 
 
 def _classifiers(d: int, names: list[str], cards: list[int], config, tag: str) -> list:
@@ -138,17 +191,6 @@ def _classifiers(d: int, names: list[str], cards: list[int], config, tag: str) -
     ]
 
 
-def _weight_step(models: list, mats: list, labels: list, alpha: np.ndarray, idx: np.ndarray):
-    """One ascent step per classifier on the combined rows ``idx``, then the
-    summed estimate there and its alpha and batch-row gradients."""
-    rows = [m[idx] for m in mats]
-    batch = sum(w * r for w, r in zip(alpha, rows))
-    batch_labels = [lab[idx] for lab in labels]
-    for model, lab in zip(models, batch_labels):
-        mi.fit_variational_step(model, batch, lab)
-    return summed_estimate_and_alpha_gradient(models, rows, batch_labels, alpha)
-
-
 def optimize_weights(
     mats: list[np.ndarray],
     attributes: list[tuple[str, np.ndarray, int]],
@@ -157,13 +199,12 @@ def optimize_weights(
     """Descend the summed MI estimate over the simplex weights of the
     calibrated matrices ``mats``, one per attribute entry.
 
-    Weights start uniform. Per iteration: sample a batch of combined rows,
-    one ascent step for each attribute's classifier, then a plain gradient
-    step on the weights followed by the softmax projection. The weight
-    gradient is the batch inner product between the estimate's embedding
-    gradient and each component matrix. Returns the weights, the release
-    (the matrices combined under them) and the per-iteration summed
-    estimate and weight traces.
+    Weights start uniform. Per iteration of :func:`contrastive_descent`: one
+    ascent step for each attribute's classifier on a batch of combined rows,
+    then a plain gradient step on the weights (the batch inner product of
+    the estimate's row gradient with each component) and the softmax
+    projection. Returns the weights, the release (the matrices combined
+    under them) and the per-iteration summed estimate and weight traces.
     """
     if len(mats) == 0:
         raise ValueError("need at least one calibrated embedding")
@@ -174,27 +215,12 @@ def optimize_weights(
     for lab in labels:
         if len(lab) != n:
             raise ValueError("labels do not cover all users")
-    k = len(mats)
-
-    rng = np.random.default_rng(_attribute_seed(config.seed, "|".join(names)))
     models = _classifiers(d, names, cards, config, "phi")
-    alpha = np.full(k, 1.0 / k)
-    sampler = mi.BatchSampler(n, config.batch_size, rng) if config.iterations else None
-
-    mi_trace, alpha_trace = [], []
-    for _ in range(config.iterations):
-        total, grad_alpha, _ = _weight_step(models, mats, labels, alpha, sampler.next_batch())
-        alpha = project_simplex_softmax(alpha - config.step_size * grad_alpha)
-        mi_trace.append(total)
-        alpha_trace.append(alpha.copy())
-
-    return CombinationResult(
-        alpha=alpha,
-        embeddings=combine(mats, alpha),
-        attributes=names,
-        mi_trace=np.array(mi_trace),
-        alpha_trace=np.array(alpha_trace) if alpha_trace else np.empty((0, k)),
+    alpha, mi_trace, _, _, alpha_trace = contrastive_descent(
+        mats, labels, models, config.iterations, config.batch_size,
+        _attribute_seed(config.seed, "|".join(names)), alpha_step=config.step_size,
     )
+    return CombinationResult(alpha, combine(mats, alpha), names, mi_trace, alpha_trace)
 
 
 def average_combination(
@@ -251,7 +277,6 @@ def joint_unlearn(
     attributes: list[tuple[str, np.ndarray, int]],
     config: CalibrationConfig,
     alpha_step: float = 1e-2,
-    eps: float | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, float]:
     """End-to-end comparator: alternate ball-projected updates of every
     component matrix with softmax-projected weight updates against the summed
@@ -260,33 +285,24 @@ def joint_unlearn(
 
     Component gradients carry an alpha factor (about 1/k each), so the budget
     is k * config.iterations to match the per-component movement the two-step
-    pipeline gets; this compares optima rather than step counts.
+    pipeline gets; this compares optima rather than step counts. Each
+    iteration takes one classifier ascent step, whatever ``config.inner_steps``
+    is.
     """
     names, labels, cards = _label_arrays(attributes)
     k = len(names)
     if k == 0:
         raise ValueError("need at least one attribute")
     n, d = U0.shape
-    if eps is None:
-        eps = config.eps_ratio * n
-    iterations = k * config.iterations
-
-    rng = np.random.default_rng(_attribute_seed(config.seed, "joint:" + "|".join(names)))
     models = _classifiers(d, names, cards, config, "joint-phi")
-    descents = [BallDescent(U0, eps, config.step_size) for _ in range(k)]
+    descents = [BallDescent(U0, config.eps_ratio * n, config.step_size) for _ in range(k)]
     mats = [descent.U for descent in descents]  # updated in place
-    alpha = np.full(k, 1.0 / k)
-    sampler = mi.BatchSampler(n, config.batch_size, rng) if iterations else None
-
-    for _ in range(iterations):
-        idx = sampler.next_batch()
-        _, grad_alpha, grad_batch = _weight_step(models, mats, labels, alpha, idx)
-        for a, descent in zip(alpha, descents):
-            descent.step(idx, a * grad_batch)
-        alpha = project_simplex_softmax(alpha - alpha_step * grad_alpha)
-
-    combined = combine(mats, alpha)
-    p2 = summed_mi_estimate(combined, attributes, seed=config.seed)
+    alpha, *_ = contrastive_descent(
+        mats, labels, models, k * config.iterations, config.batch_size,
+        _attribute_seed(config.seed, "joint:" + "|".join(names)),
+        descents=descents, alpha_step=alpha_step,
+    )
+    p2 = summed_mi_estimate(combine(mats, alpha), attributes, seed=config.seed)
     return mats, alpha, p2
 
 

@@ -189,6 +189,25 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="non-finite"):
             calibration.calibrate(U0, labels, CalibrationConfig(iterations=5, batch_size=8))
 
+    def test_non_finite_estimate_carries_earlier_estimates(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        U0 = rng.normal(size=(16, 4))
+        labels = np.array([0, 1] * 8)
+        cfg = CalibrationConfig(iterations=5, batch_size=8)
+        clean = calibration.calibrate(U0, labels, CalibrationConfig(iterations=3, batch_size=8))
+        real, calls = calibration.mi.contrastive_step, []
+
+        def nan_on_fourth(model, embeddings, batch_labels):
+            calls.append(None)
+            estimate, grad = real(model, embeddings, batch_labels)
+            return (float("nan") if len(calls) == 4 else estimate), grad
+
+        monkeypatch.setattr(calibration.mi, "contrastive_step", nan_on_fourth)
+        with pytest.raises(CalibrationError) as info:
+            calibration.calibrate(U0, labels, cfg)
+        assert info.value.trace == clean.mi_trace.tolist()
+        assert len(info.value.trace) == 3
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             calibration.calibrate(

@@ -158,9 +158,11 @@ def test_attack_and_rec_eval(workspace):
 
 
 def _fresh_output_config(cfg, tmp_path) -> Path:
-    """A copy of the config at ``cfg`` that writes into ``tmp_path / "out"``."""
+    """A copy of the config at ``cfg`` that writes into ``tmp_path / "out"``
+    and keeps its store in ``tmp_path / "store"``."""
     payload = json.loads(cfg.read_text())
     payload["output_dir"] = str(tmp_path / "out")
+    payload["store_dir"] = str(tmp_path / "store")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(payload))
     return config_path
@@ -203,6 +205,23 @@ def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bogus" in err
     assert not list(tmp_path.glob("out/model_*"))
+
+
+@pytest.mark.parametrize("args", [
+    ["bound-check", "--attrs", "gender"],
+    ["bound-check", "--attrs", ","],
+    ["combine", "--attrs", ","],
+    ["rec-eval", "--embeddings", "{tmp}/missing.emb"],
+    ["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"],
+], ids=["bound-check-one-attr", "bound-check-no-attr", "combine-no-attr",
+        "rec-eval-missing-emb", "calibrate-missing-trace-dir"])
+def test_unservable_request_exit_1_before_training(workspace, tmp_path, capsys, args):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert cli_main([*args, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("out/model_*"))
+    assert not list(tmp_path.glob("store/*"))
 
 
 def test_rec_k_below_one_exit_1_before_training(workspace, tmp_path, capsys):

@@ -189,6 +189,18 @@ class TestOptimizeWeights:
         with pytest.raises(ValueError):
             optimize_weights([], [], COMB)
 
+    def test_non_finite_estimate_names_the_attribute(self, two_attr, monkeypatch):
+        U0, entries = two_attr
+        real = combination.mi.contrastive_step
+
+        def nan_for_second(model, embeddings, labels):
+            estimate, grad = real(model, embeddings, labels)
+            return (float("nan") if model.attribute == entries[1][0] else estimate), grad
+
+        monkeypatch.setattr(combination.mi, "contrastive_step", nan_for_second)
+        with pytest.raises(RuntimeError, match=repr(entries[1][0])):
+            optimize_weights([U0, U0], entries, COMB)
+
     def test_seeded_outputs_pinned(self, two_attr):
         U0, entries = two_attr
         rng = np.random.default_rng(8)
@@ -224,9 +236,9 @@ class TestJointUnlearn:
     def test_zero_eps_pins_components_to_origin(self, two_attr):
         U0, entries = two_attr
         cfg = CalibrationConfig(
-            iterations=60, batch_size=64, variational_lr=1e-2, seed=41
+            eps_ratio=0.0, iterations=60, batch_size=64, variational_lr=1e-2, seed=41
         )
-        mats, alpha, p2 = joint_unlearn(U0, entries, cfg, eps=0.0)
+        mats, alpha, p2 = joint_unlearn(U0, entries, cfg)
         for m in mats:
             assert np.allclose(m, U0)
         baseline = summed_mi_estimate(combine(mats, alpha), entries, seed=cfg.seed)
