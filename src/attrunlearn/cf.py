@@ -171,11 +171,14 @@ def save_model(model: CFModel, path) -> None:
 
 
 def load_model(path) -> CFModel:
+    """Read a checkpoint; a bad magic or a length other than its header gives is a ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        n, m, d = struct.unpack("<III", fh.read(12))
-        users = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        items = np.frombuffer(fh.read(8 * m * d), dtype="<f8").reshape(m, d).copy()
-    return CFModel(users, items)
+        raw = fh.read()
+    head = len(CHECKPOINT_MAGIC) + 12
+    if len(raw) < head or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint")
+    n, m, d = struct.unpack("<III", raw[len(CHECKPOINT_MAGIC) : head])
+    if len(raw) != head + 8 * (n + m) * d:
+        raise ValueError(f"{path}: {len(raw)} bytes for {n}+{m} rows of {d}")
+    values = np.frombuffer(raw[head:], dtype="<f8")
+    return CFModel(values[: n * d].reshape(n, d).copy(), values[n * d :].reshape(m, d).copy())

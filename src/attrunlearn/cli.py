@@ -19,7 +19,7 @@ from .evaluation import attack_metrics, hr_ndcg_at_k, make_folds
 from .scenario import (
     Config,
     ScenarioScript,
-    calibrate_many,
+    calibrated_matrices,
     dp_baseline,
     ensure_model,
     load_dataset,
@@ -109,7 +109,8 @@ def _dispatch(args) -> int:
     if args.command == "calibrate":
         names = [args.attr]
     elif args.command in ("combine", "bound-check"):
-        names = [n.strip() for n in args.attrs.split(",") if n.strip()]
+        # a name repeated in --attrs counts once, as in a script's request
+        names = list(dict.fromkeys(n.strip() for n in args.attrs.split(",") if n.strip()))
     else:
         names = [name for request in script.requests for name in request] if script else []
     entries = table.entries(names)
@@ -191,9 +192,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bound-check":
-        results = calibrate_many(U, entries, config.calibration, config.workers)
-        mats = [results[name].embeddings for name in names]
-        report = bound_check(U, mats, entries, config.calibration, config.combination)
+        store = EmbeddingStore(config.resolved_store_dir())
+        mats, _ = calibrated_matrices(store, U, entries, config)
+        report = bound_check(U, list(mats.values()), entries, config.calibration,
+                             config.combination)
         _write_report(config, "bound_check.json", json.loads(report.to_json()))
         return 0
 

@@ -210,16 +210,21 @@ def load_dataset(config: Config) -> tuple[InteractionDataset, AttributeTable]:
 
 
 def ensure_model(config: Config, dataset: InteractionDataset) -> CFModel:
-    """Load the checkpoint if the training config recorded beside it matches, else train."""
+    """Load the checkpoint if the training config recorded beside it matches and
+    the file reads back whole, else train."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"model_{dataset.fingerprint()}_{config.cf.seed}.cf"
     record = ckpt.with_suffix(".json")
     trained_with = json.dumps(asdict(config.cf), sort_keys=True)
     if ckpt.exists() and record.exists() and record.read_text() == trained_with:
-        model = load_model(ckpt)
-        if model.user_embeddings.shape == (dataset.n_users, config.cf.dim):
-            return model
+        try:
+            model = load_model(ckpt)
+        except ValueError as exc:
+            log.warning("checkpoint unreadable (%s); retraining", exc)
+        else:
+            if model.user_embeddings.shape == (dataset.n_users, config.cf.dim):
+                return model
     model = train_cf(dataset, config.cf)
     record.unlink(missing_ok=True)  # never leave a record that names another model
     save_model(model, ckpt)
@@ -263,59 +268,69 @@ def calibrate_many(
         return dict(pool.map(run, entries))
 
 
+def calibrated_matrices(
+    store: EmbeddingStore,
+    U0: np.ndarray,
+    entries: list[tuple[str, np.ndarray, int]],
+    config: Config,
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The calibrated copy of U0 per (name, labels, cardinality) entry, by name in
+    entry order, and the names calibrated now.
+
+    A name whose store entry is missing or unusable is calibrated (on up to
+    ``config.workers`` threads) and its result put in the store.
+    """
+    keys = store.key(U0, entries, config.calibration.hash())
+    cached: dict[str, np.ndarray] = {}
+    to_run: list[str] = []
+    for name, _, _ in entries:
+        if keys[name] in store:
+            try:
+                cached[name] = store.get(keys[name])
+                continue
+            except StoreError as exc:
+                log.warning("store entry for %r unusable (%s); recalibrating", name, exc)
+        to_run.append(name)
+
+    fresh = calibrate_many(
+        U0, [e for e in entries if e[0] in to_run], config.calibration, config.workers
+    )
+    for name, result in fresh.items():
+        store.put(keys[name], result.embeddings)
+        cached[name] = result.embeddings
+    return {name: cached[name] for name, _, _ in entries}, to_run
+
+
 def run_scenario(
     config: Config,
     script: ScenarioScript,
-    dataset: InteractionDataset | None = None,
-    attributes: AttributeTable | None = None,
-    model: CFModel | None = None,
+    dataset: InteractionDataset,
+    attributes: AttributeTable,
+    model: CFModel,
 ) -> list[RunReport]:
     """Execute each request, reusing cached calibrations across requests.
 
-    Per request: calibrate only attributes with no store entry (on up to
-    ``config.workers`` threads), pull the rest from the store, optimize the
-    combination weights, then (optionally) evaluate. The reported
+    Per request: ``calibrated_matrices`` calibrates only attributes with no
+    store entry and pulls the rest from the store, then the combination
+    weights are optimized and the release (optionally) evaluated. The reported
     ``unlearn_seconds`` covers calibration + combination + store traffic;
     evaluation is timed separately.
     """
-    if dataset is None or attributes is None:
-        dataset, attributes = load_dataset(config)
-    if model is None:
-        model = ensure_model(config, dataset)
     store = EmbeddingStore(config.resolved_store_dir())
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_hash = config.calibration.hash()
     U0 = model.user_embeddings
     folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
 
     reports = []
     for r_idx, request in enumerate(script.requests):
         t_unlearn = time.perf_counter()
-        # raises KeyError for unknown attributes
-        keys = store.key(U0, attributes.entries(request), cfg_hash)
-        cached: dict[str, np.ndarray] = {}
-        to_run: list[str] = []
-        for name in request:
-            if keys[name] in store:
-                try:
-                    cached[name] = store.get(keys[name])
-                    continue
-                except StoreError as exc:
-                    log.warning("store entry for %r unusable (%s); recalibrating", name, exc)
-            to_run.append(name)
-
-        fresh = calibrate_many(U0, attributes.entries(to_run), config.calibration, config.workers)
-        for name, result in fresh.items():
-            store.put(keys[name], result.embeddings)
+        entries = attributes.entries(request)  # raises KeyError for unknown attributes
+        mats, to_run = calibrated_matrices(store, U0, entries, config)
         t_calib = time.perf_counter() - t_unlearn
 
         t0 = time.perf_counter()
-        combo = optimize_weights(
-            [fresh[name].embeddings if name in fresh else cached[name] for name in request],
-            attributes.entries(request),
-            config.combination,
-        )
+        combo = optimize_weights(list(mats.values()), entries, config.combination)
         t_comb = time.perf_counter() - t0
         unlearn_seconds = time.perf_counter() - t_unlearn
 

@@ -1,8 +1,8 @@
 """On-disk store of calibrated embedding matrices keyed by content hashes.
 
 Files carry a trailing checksum (first 8 bytes of SHA-256 over header and
-payload); all writes go through atomic renames so a killed run cannot leave a
-manifest that points at half-written data.
+payload). ``atomic_write`` publishes every file through a temp file private
+to its writer and a rename, so no reader sees a half-written file.
 """
 
 from __future__ import annotations
@@ -28,16 +28,25 @@ def _checksum(blob: bytes) -> bytes:
     return hashlib.sha256(blob).digest()[:8]
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to a temp file only this thread uses, fsync, rename onto ``path``."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_embedding_file(path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype="<f8")
     n, d = matrix.shape
     blob = EMBEDDING_MAGIC + struct.pack("<II", n, d) + matrix.tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob + _checksum(blob))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, blob + _checksum(blob))
 
 
 def read_embedding_file(path) -> np.ndarray:
@@ -58,10 +67,11 @@ def read_embedding_file(path) -> np.ndarray:
 
 
 class EmbeddingStore:
-    """Directory of persisted matrices with a JSON manifest index.
+    """Directory of persisted matrices, each in the file its key hashes to.
 
-    Safe for concurrent readers; writers serialize on an in-process lock and
-    publish via atomic rename (file first, manifest second).
+    Lookups read that file alone. ``manifest.json`` lists the entries for
+    ``keys()`` and for outside readers; a put made by another process at the
+    same time may drop a line from it, never an entry from the store.
     """
 
     def __init__(self, directory):
@@ -83,33 +93,24 @@ class EmbeddingStore:
             keys[name] = f"{h.hexdigest()[:16]}__{name}__{config_hash}"
         return keys
 
-    def _manifest_path(self) -> Path:
-        return self.directory / MANIFEST_NAME
+    @staticmethod
+    def _file_name(key: str) -> str:
+        return hashlib.sha256(key.encode()).hexdigest()[:24] + ".emb"
 
     def _load_manifest(self) -> dict:
-        path = self._manifest_path()
+        path = self.directory / MANIFEST_NAME
         if not path.exists():
             return {}
-        with open(path) as fh:
-            return json.load(fh)
-
-    def _write_manifest(self, manifest: dict) -> None:
-        tmp = self._manifest_path().with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path())
+        return json.loads(path.read_text())
 
     def __contains__(self, key: str) -> bool:
-        entry = self._load_manifest().get(key)
-        return entry is not None and (self.directory / entry["file"]).exists()
+        return (self.directory / self._file_name(key)).exists()
 
     def keys(self) -> list[str]:
         return sorted(self._load_manifest())
 
     def put(self, key: str, matrix: np.ndarray) -> None:
-        fname = hashlib.sha256(key.encode()).hexdigest()[:24] + ".emb"
+        fname = self._file_name(key)
         with self._lock:
             write_embedding_file(self.directory / fname, matrix)
             manifest = self._load_manifest()
@@ -118,13 +119,11 @@ class EmbeddingStore:
                 "n": int(matrix.shape[0]),
                 "d": int(matrix.shape[1]),
             }
-            self._write_manifest(manifest)
+            atomic_write(self.directory / MANIFEST_NAME,
+                         json.dumps(manifest, indent=2, sort_keys=True).encode())
 
     def get(self, key: str) -> np.ndarray:
-        entry = self._load_manifest().get(key)
-        if entry is None:
-            raise StoreError(f"missing key {key!r}")
-        matrix = read_embedding_file(self.directory / entry["file"])
-        if matrix.shape != (entry["n"], entry["d"]):
-            raise StoreError(f"{key!r}: manifest shape disagrees with file")
-        return matrix
+        try:
+            return read_embedding_file(self.directory / self._file_name(key))
+        except FileNotFoundError:
+            raise StoreError(f"missing key {key!r}") from None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _surrogate import generate_ml100k_like
+from attrunlearn import scenario
 from attrunlearn.calibration import CalibrationConfig
 from attrunlearn.cli import cli_main
 from attrunlearn.combination import CombinationConfig
@@ -209,11 +210,13 @@ def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, a
 
 @pytest.mark.parametrize("args", [
     ["bound-check", "--attrs", "gender"],
+    ["bound-check", "--attrs", "gender,gender"],
     ["bound-check", "--attrs", ","],
     ["combine", "--attrs", ","],
     ["rec-eval", "--embeddings", "{tmp}/missing.emb"],
     ["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"],
-], ids=["bound-check-one-attr", "bound-check-no-attr", "combine-no-attr",
+], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
+        "combine-no-attr",
         "rec-eval-missing-emb", "calibrate-missing-trace-dir"])
 def test_unservable_request_exit_1_before_training(workspace, tmp_path, capsys, args):
     config_path = _fresh_output_config(workspace[1], tmp_path)
@@ -304,6 +307,22 @@ def test_bound_check_subcommand(workspace):
     assert cli_main(["bound-check", "--config", str(cfg), "--attrs", "gender,age"]) == 0
     report = json.loads((root / "out" / "bound_check.json").read_text())
     assert {"p1", "p2", "gap", "eps", "k"} <= set(report)
+
+
+def test_bound_check_reuses_combine_calibrations(workspace, tmp_path, monkeypatch):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    assert cli_main(["combine", "--config", str(config_path), "--attrs", "gender,age"]) == 0
+
+    def no_calibration(*args, **kwargs):
+        raise RuntimeError("calibrated although the store holds the entry")
+
+    monkeypatch.setattr(scenario, "calibrate", no_calibration)
+    assert cli_main(["bound-check", "--config", str(config_path), "--attrs", "gender,age"]) == 0
+    assert (tmp_path / "out" / "bound_check.json").exists()
+    assert cli_main(["combine", "--config", str(config_path), "--attrs", "gender,age,gender"]) == 0
+    report = json.loads((tmp_path / "out" / "combine_report.json").read_text())
+    assert (report["calibrations_executed"], report["cache_hits"]) == (0, 2)
+
 
 def test_dp_subcommand_sweeps_sigma(workspace):
     root, cfg = workspace

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -77,6 +82,54 @@ class TestStore:
         (store.directory / "orphan.emb").write_bytes(b"garbage")
         assert store.get("a") is not None
         assert store.keys() == ["a"]
+
+    def test_entry_found_after_its_manifest_line_is_lost(self, tmp_path):
+        # a put racing in another process can overwrite the manifest with a
+        # version that lacks this entry; lookups go by file name, not by manifest
+        store = EmbeddingStore(tmp_path / "store")
+        store.put("a", np.zeros((2, 2)))
+        manifest = store.directory / "manifest.json"
+        before = manifest.read_bytes()
+        m = np.random.default_rng(3).normal(size=(6, 3))
+        store.put("b", m)
+        manifest.write_bytes(before)
+        fresh = EmbeddingStore(store.directory)
+        assert "b" in fresh
+        assert fresh.get("b").tobytes() == m.tobytes()
+        assert fresh.keys() == ["a"]
+
+    def test_concurrent_processes_put_and_read_back(self, tmp_path):
+        # 4 processes put distinct keys and 2 put one shared key, all at once
+        child = textwrap.dedent("""
+            import sys, time
+            from pathlib import Path
+            import numpy as np
+            from attrunlearn.store import EmbeddingStore
+            store_dir, go, keys = sys.argv[1], Path(sys.argv[2]), sys.argv[3:]
+            while not go.exists():
+                time.sleep(0.001)
+            store = EmbeddingStore(store_dir)
+            for key in keys:
+                seed = int(key.split("_")[1])
+                store.put(key, np.random.default_rng(seed).normal(size=(30, 4)))
+        """)
+        distinct = [[f"p{p}_{p * 100 + i}" for i in range(25)] for p in range(4)]
+        shared = [["shared_999"] * 25] * 2
+        env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        go = tmp_path / "go"
+        procs = [subprocess.Popen([sys.executable, "-c", child, str(tmp_path / "store"),
+                                   str(go), *keys], env=env, stderr=subprocess.PIPE, text=True)
+                 for keys in distinct + shared]
+        time.sleep(0.5)  # let every child reach the start line
+        go.touch()
+        errors = [p.communicate(timeout=120)[1] for p in procs]
+        assert [p.returncode for p in procs] == [0] * len(procs), errors
+        store = EmbeddingStore(tmp_path / "store")
+        for key in sum(distinct, []) + ["shared_999"]:
+            want = np.random.default_rng(int(key.split("_")[1])).normal(size=(30, 4))
+            assert key in store
+            assert store.get(key).tobytes() == want.tobytes()
 
 
 def make_pipeline(tmp_path, n_users=160, evaluate=False, workers=2):
@@ -278,6 +331,24 @@ class TestEnsureModel:
         assert not np.array_equal(second.user_embeddings, first.user_embeddings)
         assert len(list(tmp_path.glob("model_*.cf"))) == 1  # same name, new contents
         assert scenario.ensure_model(config, dataset).train_diagnostics is None
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:-16], lambda blob: blob + bytes(8), lambda blob: blob[:10],
+    ], ids=["truncated", "trailing-bytes", "cut-header"])
+    def test_damaged_checkpoint_is_retrained(self, tmp_path, caplog, damage):
+        dataset, _ = data.synthetic_dataset(40, 30, d_signal=2, seed=7)
+        config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path))
+        config.cf = cf.CFTrainConfig(dim=4, epochs=1, batch_size=64, seed=2)
+        first = scenario.ensure_model(config, dataset)
+        (ckpt,) = tmp_path.glob("model_*.cf")
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(damage(blob))
+        with caplog.at_level("WARNING"):
+            again = scenario.ensure_model(config, dataset)
+        assert "checkpoint unreadable" in caplog.text
+        assert again.train_diagnostics is not None  # retrained, not loaded
+        assert again.user_embeddings.tobytes() == first.user_embeddings.tobytes()
+        assert ckpt.read_bytes() == blob
 
 
 class TestDpBaseline:
