@@ -127,6 +127,9 @@ def _dispatch(args) -> int:
     trace_csv = getattr(args, "trace_csv", None)
     if trace_csv and not Path(trace_csv).parent.is_dir():
         raise ValueError(f"--trace-csv: directory {str(Path(trace_csv).parent)!r} does not exist")
+    # and a store directory that cannot be opened
+    store = (EmbeddingStore(config.resolved_store_dir())
+             if args.command in ("calibrate", "combine", "scenario", "bound-check") else None)
     # an attack on an embedding file needs no recommender; U is the user matrix worked on
     model = None if args.command == "attack" and U is not None else ensure_model(config, dataset)
     U = model.user_embeddings if U is None else U
@@ -146,7 +149,6 @@ def _dispatch(args) -> int:
     if args.command == "calibrate":
         name, labels, cardinality = entries[0]
         result = calibrate(U, labels, config.calibration, attribute=name, cardinality=cardinality)
-        store = EmbeddingStore(config.resolved_store_dir())
         keys = store.key(U, entries, config.calibration.hash())
         store.put(keys[name], result.embeddings)
         if args.trace_csv:
@@ -167,7 +169,7 @@ def _dispatch(args) -> int:
 
     if args.command == "combine":
         script = ScenarioScript([names])
-        reports = run_scenario(config, script, dataset, table, model)
+        reports = run_scenario(config, script, dataset, table, model, store)
         _write_report(config, "combine_report.json", reports[0].to_dict())
         return 0
 
@@ -183,7 +185,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "scenario":
-        reports = run_scenario(config, script, dataset, table, model)
+        reports = run_scenario(config, script, dataset, table, model, store)
         _write_report(
             config,
             "scenario_report.json",
@@ -192,7 +194,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bound-check":
-        store = EmbeddingStore(config.resolved_store_dir())
         mats, _ = calibrated_matrices(store, U, entries, config)
         report = bound_check(U, list(mats.values()), entries, config.calibration,
                              config.combination)

@@ -205,6 +205,10 @@ def optimize_weights(
     the estimate's row gradient with each component) and the softmax
     projection. Returns the weights, the release (the matrices combined
     under them) and the per-iteration summed estimate and weight traces.
+
+    With one matrix the weight is 1.0 at every step (the softmax projection
+    of a length-1 vector is exactly [1.0]), so no classifier is built, no
+    iteration runs and both traces are empty.
     """
     if len(mats) == 0:
         raise ValueError("need at least one calibrated embedding")
@@ -215,6 +219,8 @@ def optimize_weights(
     for lab in labels:
         if len(lab) != n:
             raise ValueError("labels do not cover all users")
+    if len(mats) == 1:
+        return CombinationResult(np.ones(1), combine(mats, np.ones(1)), names)
     models = _classifiers(d, names, cards, config, "phi")
     alpha, mi_trace, _, _, alpha_trace = contrastive_descent(
         mats, labels, models, config.iterations, config.batch_size,

@@ -140,15 +140,15 @@ def train_attacker(
     stale = 0
     for _ in range(max_iterations):
         loss, bundle = nets.forward_backward(
-            net, embeddings, lambda logits: nets.log_softmax_nll(logits, labels)
+            net, embeddings, lambda logits: nets.log_softmax_nll(logits, labels), inputs=False
         )
         penalty = 0.0
         for layer in net.layers:
             penalty += float((layer.weights**2).sum())
         loss += _ATTACKER_L2 * penalty / (2.0 * n)
         for li, layer in enumerate(net.layers):
-            bundle.param_grads[2 * li] += (_ATTACKER_L2 / n) * layer.weights
-        nets.optimizer_step(opt, net.parameters(), bundle.param_grads)
+            bundle.param_grads[2 * li] += (_ATTACKER_L2 / n) * layer.weights  # into bundle.flat
+        nets.optimizer_step(opt, [net.flat], [bundle.flat])
         if loss < best - _ATTACKER_TOL:
             best = loss
             stale = 0

@@ -81,8 +81,8 @@ def fit_variational_step(
             raise RuntimeError(f"non-finite classifier loss {loss}")
         return loss, logit_grads
 
-    loss, bundle = nets.forward_backward(model.network, embeddings, nll_head)
-    nets.optimizer_step(model.optimizer, model.network.parameters(), bundle.param_grads)
+    loss, bundle = nets.forward_backward(model.network, embeddings, nll_head, inputs=False)
+    nets.optimizer_step(model.optimizer, [model.network.flat], [bundle.flat])
     return loss
 
 
@@ -135,7 +135,7 @@ def contrastive_step(
         # through log-softmax: dz = g - softmax * rowsum(g)
         return vclub_from_logprobs(logp, labels), g - np.exp(logp) * g.sum(axis=1, keepdims=True)
 
-    estimate, bundle = nets.forward_backward(model.network, embeddings, vclub_head)
+    estimate, bundle = nets.forward_backward(model.network, embeddings, vclub_head, params=False)
     return estimate, bundle.input_grads
 
 

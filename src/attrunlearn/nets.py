@@ -6,7 +6,16 @@ hand-written and verifiable against central differences via
 :func:`gradient_check`.
 
 Training loops call :func:`forward_backward`, which backpropagates through the
-activations of the one forward pass that produced the logits.
+activations of the one forward pass that produced the logits. It forms only
+the gradients its caller reads: ``params=False`` drops every layer's weight
+and bias gradient, ``inputs=False`` the first layer's input gradient.
+
+A :class:`DenseNetwork` holds all its parameters in one float64 buffer,
+``net.flat``, and each layer's ``weights`` and ``biases`` are views of it in
+``parameters()`` order. A :class:`GradientBundle` lays its parameter
+gradients out the same way in ``bundle.flat``, so one Adam step over
+``[net.flat]`` is bitwise the per-parameter step over ``parameters()``: Adam
+is elementwise.
 """
 
 from __future__ import annotations
@@ -25,11 +34,33 @@ class Layer:
     biases: np.ndarray  # (out,)
 
 
+def _parameter_views(flat: np.ndarray, layers: list[Layer]) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] shaped like ``layers``' parameters, as views of ``flat``."""
+    views, start = [], 0
+    for layer in layers:
+        for p in (layer.weights, layer.biases):
+            views.append(flat[start : start + p.size].reshape(p.shape))
+            start += p.size
+    return views
+
+
 @dataclass
 class DenseNetwork:
-    """An MLP: ReLU after every layer but the last, whose outputs are logits."""
+    """An MLP: ReLU after every layer but the last, whose outputs are logits.
+
+    Construction copies the layers' values into ``flat`` and rebinds each
+    layer's ``weights`` and ``biases`` to views of it.
+    """
 
     layers: list[Layer]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.empty(sum(l.weights.size + l.biases.size for l in self.layers))
+        views = _parameter_views(self.flat, self.layers)
+        for layer, w, b in zip(self.layers, views[::2], views[1::2]):
+            w[...], b[...] = layer.weights, layer.biases
+            layer.weights, layer.biases = w, b
 
     @property
     def input_dim(self) -> int:
@@ -40,7 +71,7 @@ class DenseNetwork:
         return self.layers[-1].weights.shape[0]
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...], views into the layers."""
+        """Parameter list [W0, b0, W1, b1, ...], views of ``flat``."""
         out = []
         for layer in self.layers:
             out.append(layer.weights)
@@ -48,15 +79,18 @@ class DenseNetwork:
         return out
 
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
 
 @dataclass
 class GradientBundle:
-    """Gradients in the same [dW0, db0, dW1, db1, ...] order as ``parameters()``."""
+    """Gradients in the same [dW0, db0, dW1, db1, ...] order as ``parameters()``,
+    views of ``flat`` laid out as the net's ``flat``; empty lists and None
+    where they were not formed."""
 
     param_grads: list[np.ndarray]
     input_grads: np.ndarray | None = None
+    flat: np.ndarray | None = None
 
 
 @dataclass
@@ -148,27 +182,34 @@ def forward_backward(
     net: DenseNetwork,
     batch: np.ndarray,
     head: Callable[[np.ndarray], tuple[object, np.ndarray]],
+    *,
+    params: bool = True,
+    inputs: bool = True,
 ) -> tuple[object, GradientBundle]:
     """One forward pass, then backpropagation of the gradients ``head`` puts on it.
 
     ``head(logits)`` returns ``(value, logit_grads)``; the result is that value
-    and the parameter and input gradients of ``logit_grads``.
+    and the parameter gradients (with ``params``) and input gradients (with
+    ``inputs``) of ``logit_grads``. Each gradient formed is bitwise the one
+    the full pass forms.
     """
-    logits, inputs, preacts = _forward_cached(net, batch)
+    logits, layer_inputs, preacts = _forward_cached(net, batch)
     value, logit_grads = head(logits)
     if logit_grads.shape != logits.shape:
         raise ValueError(f"upstream shape {logit_grads.shape} != {logits.shape}")
     delta = np.asarray(logit_grads, dtype=np.float64)
     last = len(net.layers) - 1
-    param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))
+    flat = np.empty(net.flat.size) if params else None
+    param_grads = _parameter_views(flat, net.layers) if params else []
     for i in range(last, -1, -1):
-        layer = net.layers[i]
         if i < last:  # below the output layer delta is this loop's own array
             delta *= preacts[i] > 0
-        param_grads[2 * i] = delta.T @ inputs[i]
-        param_grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ layer.weights
-    return value, GradientBundle(param_grads=param_grads, input_grads=delta)
+        if params:
+            np.matmul(delta.T, layer_inputs[i], out=param_grads[2 * i])
+            np.sum(delta, axis=0, out=param_grads[2 * i + 1])
+        if i > 0 or inputs:
+            delta = delta @ net.layers[i].weights
+    return value, GradientBundle(param_grads, delta if inputs else None, flat)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)

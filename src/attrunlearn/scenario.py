@@ -307,6 +307,7 @@ def run_scenario(
     dataset: InteractionDataset,
     attributes: AttributeTable,
     model: CFModel,
+    store: EmbeddingStore | None = None,
 ) -> list[RunReport]:
     """Execute each request, reusing cached calibrations across requests.
 
@@ -314,9 +315,11 @@ def run_scenario(
     store entry and pulls the rest from the store, then the combination
     weights are optimized and the release (optionally) evaluated. The reported
     ``unlearn_seconds`` covers calibration + combination + store traffic;
-    evaluation is timed separately.
+    evaluation is timed separately. ``store`` defaults to the one in
+    ``config.resolved_store_dir()``.
     """
-    store = EmbeddingStore(config.resolved_store_dir())
+    if store is None:
+        store = EmbeddingStore(config.resolved_store_dir())
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     U0 = model.user_embeddings

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import struct
 import threading
 from pathlib import Path
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 EMBEDDING_MAGIC = b"LEGOEMB1"
 MANIFEST_NAME = "manifest.json"
@@ -98,10 +101,16 @@ class EmbeddingStore:
         return hashlib.sha256(key.encode()).hexdigest()[:24] + ".emb"
 
     def _load_manifest(self) -> dict:
+        """The manifest's entries; one that does not parse counts as empty, so
+        the next ``put`` rewrites it (lookups never read it)."""
         path = self.directory / MANIFEST_NAME
-        if not path.exists():
+        try:
+            return json.loads(path.read_text())
+        except FileNotFoundError:
             return {}
-        return json.loads(path.read_text())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            log.warning("%s does not parse (%s); treating it as empty", path, exc)
+            return {}
 
     def __contains__(self, key: str) -> bool:
         return (self.directory / self._file_name(key)).exists()

@@ -208,18 +208,26 @@ def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, a
     assert not list(tmp_path.glob("out/model_*"))
 
 
-@pytest.mark.parametrize("args", [
-    ["bound-check", "--attrs", "gender"],
-    ["bound-check", "--attrs", "gender,gender"],
-    ["bound-check", "--attrs", ","],
-    ["combine", "--attrs", ","],
-    ["rec-eval", "--embeddings", "{tmp}/missing.emb"],
-    ["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"],
+@pytest.mark.parametrize("args, store_is_file", [
+    (["bound-check", "--attrs", "gender"], False),
+    (["bound-check", "--attrs", "gender,gender"], False),
+    (["bound-check", "--attrs", ","], False),
+    (["combine", "--attrs", ","], False),
+    (["rec-eval", "--embeddings", "{tmp}/missing.emb"], False),
+    (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], False),
+    (["calibrate", "--attr", "gender"], True),
+    (["combine", "--attrs", "gender"], True),
+    (["bound-check", "--attrs", "gender,age"], True),
 ], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
         "combine-no-attr",
-        "rec-eval-missing-emb", "calibrate-missing-trace-dir"])
-def test_unservable_request_exit_1_before_training(workspace, tmp_path, capsys, args):
+        "rec-eval-missing-emb", "calibrate-missing-trace-dir",
+        "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file"])
+def test_unservable_request_exit_1_before_training(
+    workspace, tmp_path, capsys, args, store_is_file
+):
     config_path = _fresh_output_config(workspace[1], tmp_path)
+    if store_is_file:  # the configured store directory is a regular file
+        (tmp_path / "store").write_text("")
     args = [a.format(tmp=tmp_path) for a in args]
     assert cli_main([*args, "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")

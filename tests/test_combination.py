@@ -153,11 +153,17 @@ class TestSummedStep:
 
 
 class TestOptimizeWeights:
-    def test_single_attribute_passthrough(self, two_attr_calibrated):
+    def test_single_attribute_passthrough(self, two_attr_calibrated, monkeypatch):
         _, entries, calibrated = two_attr_calibrated
+
+        def no_classifier(*args, **kwargs):
+            raise AssertionError("a one-attribute weight fit built a classifier")
+
+        monkeypatch.setattr(mi, "make_variational_model", no_classifier)
         res = optimize_weights(calibrated[:1], entries[:1], COMB)
         assert res.alpha.tolist() == [1.0]
-        assert np.allclose(res.embeddings, calibrated[0])
+        assert res.embeddings.tobytes() == calibrated[0].tobytes()
+        assert len(res.mi_trace) == 0 and res.alpha_trace.shape == (0, 0)
 
     def test_identical_embeddings_keep_uniform_alpha(self, two_attr):
         U0, entries = two_attr

@@ -30,6 +30,17 @@ class TestInit:
             assert la.weights.tobytes() == lb.weights.tobytes()
             assert la.biases.tobytes() == lb.biases.tobytes()
 
+    def test_layers_become_views_of_one_buffer(self):
+        W0, b0 = np.arange(6.0).reshape(3, 2), np.array([0.5, -0.5, 1.0])
+        W1, b1 = np.array([[1.0, -2.0, 3.0]]), np.array([0.25])
+        net = nets.DenseNetwork([nets.Layer(W0.copy(), b0.copy()), nets.Layer(W1.copy(), b1)])
+        for got, want in zip(net.parameters(), [W0, b0, W1, b1]):
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, net.flat)
+        assert net.flat.tobytes() == np.concatenate([W0.ravel(), b0, W1.ravel(), b1]).tobytes()
+        net.flat[:] = 7.0
+        assert np.all(net.layers[0].weights == 7.0) and np.all(net.layers[1].biases == 7.0)
+
     def test_init_bounds_follow_fan_in_out(self):
         net = nets.init_network([10, 20, 4], seed=5)
         bound = np.sqrt(6.0 / 30.0)
@@ -129,6 +140,30 @@ class TestBackward:
                 assert got.tobytes() == want.tobytes()
             assert bundle.input_grads.tobytes() == input_grads.tobytes()
 
+    def test_partial_passes_match_full_pass_and_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            net, batch, _ = safe_instance(rng)
+            up = rng.standard_normal((len(batch), net.output_dim))
+            full = backprop(net, batch, up)
+            param_grads, input_grads = reference_forward_backward(net, batch, up)
+
+            def head(_):
+                return None, up
+
+            no_inputs = nets.forward_backward(net, batch, head, inputs=False)[1]
+            no_params = nets.forward_backward(net, batch, head, params=False)[1]
+            assert no_inputs.input_grads is None
+            assert no_params.param_grads == [] and no_params.flat is None
+            assert len(no_inputs.param_grads) == len(param_grads)
+            for got, want in zip(no_inputs.param_grads, param_grads):
+                assert got.tobytes() == want.tobytes()
+                assert np.shares_memory(got, no_inputs.flat)
+            flat_want = np.concatenate([g.ravel() for g in param_grads])
+            assert no_inputs.flat.tobytes() == full.flat.tobytes() == flat_want.tobytes()
+            assert no_params.input_grads.tobytes() == full.input_grads.tobytes()
+            assert no_params.input_grads.tobytes() == input_grads.tobytes()
+
     def test_leaves_logit_grads_untouched(self):
         net = nets.init_network([3, 5, 4], seed=2)
         rng = np.random.default_rng(3)
@@ -164,6 +199,20 @@ class TestOptimizer:
         nets.optimizer_step(state, [p], [np.array([1.0])])
         assert p[0] == pytest.approx(-1e-3, rel=1e-6)
         assert state.step_count == 1
+
+    def test_flat_step_matches_per_parameter_steps(self):
+        rng = np.random.default_rng(5)
+        flat_net = nets.init_network([6, 9, 3], seed=4)
+        per_net = nets.init_network([6, 9, 3], seed=4)
+        flat_state = nets.OptimizerState(learning_rate=1e-2)
+        per_state = nets.OptimizerState(learning_rate=1e-2)
+        for _ in range(50):
+            batch = rng.standard_normal((8, 6))
+            bundle = backprop(flat_net, batch, rng.standard_normal((8, 3)))
+            per_grads = [g.copy() for g in bundle.param_grads]
+            nets.optimizer_step(flat_state, [flat_net.flat], [bundle.flat])
+            nets.optimizer_step(per_state, per_net.parameters(), per_grads)
+            assert flat_net.flat.tobytes() == per_net.flat.tobytes()
 
     def test_non_finite_gradient_rejected(self):
         state = nets.OptimizerState()

@@ -98,6 +98,20 @@ class TestStore:
         assert fresh.get("b").tobytes() == m.tobytes()
         assert fresh.keys() == ["a"]
 
+    def test_put_rewrites_a_manifest_that_does_not_parse(self, tmp_path, caplog):
+        # an older version's racing puts could leave manifest.json unparseable
+        store = EmbeddingStore(tmp_path / "store")
+        old = np.random.default_rng(4).normal(size=(3, 2))
+        store.put("old", old)
+        (store.directory / "manifest.json").write_text('{"old": 1}\n}garbage')
+        new = np.random.default_rng(5).normal(size=(4, 2))
+        store.put("new", new)
+        assert "does not parse" in caplog.text
+        fresh = EmbeddingStore(store.directory)
+        assert fresh.get("old").tobytes() == old.tobytes()
+        assert fresh.get("new").tobytes() == new.tobytes()
+        assert fresh.keys() == ["new"]
+
     def test_concurrent_processes_put_and_read_back(self, tmp_path):
         # 4 processes put distinct keys and 2 put one shared key, all at once
         child = textwrap.dedent("""
