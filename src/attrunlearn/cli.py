@@ -194,7 +194,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bound-check":
-        mats, _ = calibrated_matrices(store, U, entries, config)
+        mats, _, _ = calibrated_matrices(store, U, entries, config)
         report = bound_check(U, list(mats.values()), entries, config.calibration,
                              config.combination)
         _write_report(config, "bound_check.json", json.loads(report.to_json()))

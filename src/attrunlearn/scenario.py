@@ -2,12 +2,15 @@
 
 A scenario is an ordered list of requests, each naming the attributes that
 must be protected from that point on. Calibrated per-attribute embeddings are
-cached in the store, so later requests only pay for attributes never seen
-before plus one cheap weight optimization.
+cached in the store, and so are the combination weights of each attribute set
+(in its ``weights/`` directory). A later request pays for the attributes never
+seen before, plus one weight fit when its set, calibrations or combination
+config are new; a repeated set only recombines its cached calibrations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -20,7 +23,7 @@ import numpy as np
 
 from .calibration import CalibrationConfig, CalibrationResult, calibrate
 from .cf import CFModel, CFTrainConfig, load_model, save_model, train_cf
-from .combination import CombinationConfig, optimize_weights
+from .combination import CombinationConfig, combine, optimize_weights
 from .data import (
     AttributeTable,
     InteractionDataset,
@@ -36,6 +39,7 @@ log = logging.getLogger(__name__)
 
 STORE_ENV_VAR = "ATTRUNLEARN_STORE"
 SCHEMA_VERSION = 1
+WEIGHTS_DIR = "weights"  # beside the calibrations, inside the store directory
 
 
 @dataclass
@@ -180,6 +184,7 @@ class RunReport:
     alpha: np.ndarray
     calibrations_executed: int
     cache_hits: int
+    weights_cached: bool  # alpha read from the weights store, not fitted
     timings: dict[str, float]
     unlearn_seconds: float
     attack: AttackReport | None = None
@@ -191,6 +196,7 @@ class RunReport:
             "alpha": self.alpha.tolist(),
             "calibrations_executed": self.calibrations_executed,
             "cache_hits": self.cache_hits,
+            "weights_cached": self.weights_cached,
             "timings_seconds": self.timings,
             "unlearn_seconds": self.unlearn_seconds,
         }
@@ -273,9 +279,9 @@ def calibrated_matrices(
     U0: np.ndarray,
     entries: list[tuple[str, np.ndarray, int]],
     config: Config,
-) -> tuple[dict[str, np.ndarray], list[str]]:
+) -> tuple[dict[str, np.ndarray], list[str], dict[str, str]]:
     """The calibrated copy of U0 per (name, labels, cardinality) entry, by name in
-    entry order, and the names calibrated now.
+    entry order, the names calibrated now and the store key of each name.
 
     A name whose store entry is missing or unusable is calibrated (on up to
     ``config.workers`` threads) and its result put in the store.
@@ -298,7 +304,51 @@ def calibrated_matrices(
     for name, result in fresh.items():
         store.put(keys[name], result.embeddings)
         cached[name] = result.embeddings
-    return {name: cached[name] for name, _, _ in entries}, to_run
+    return {name: cached[name] for name, _, _ in entries}, to_run, keys
+
+
+def weights_key(component_keys: list[str], config: CombinationConfig) -> str:
+    """SHA-256 over the components' store keys, in entry order, and the
+    combination config's fields, as sorted-key JSON. The store keys pin U0,
+    the labels, the cardinalities and the calibration config."""
+    payload = {"components": component_keys, "combination": asdict(config)}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def combined_release(
+    weights: EmbeddingStore,
+    mats: dict[str, np.ndarray],
+    entries: list[tuple[str, np.ndarray, int]],
+    keys: dict[str, str],
+    config: CombinationConfig,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The weights, the release (``mats`` combined under them) and whether the
+    weights were read from ``weights`` rather than fitted.
+
+    ``mats`` and ``keys`` are ``calibrated_matrices``' results for ``entries``.
+    The fit is seeded, so a stored (1, k) entry under the set's
+    ``weights_key`` is the alpha it would return, and the release combined
+    from it is bitwise the fit's. A missing, unreadable or misshapen entry is
+    fitted and put. One matrix needs no fit and is never looked up.
+    """
+    matrices = list(mats.values())
+    if len(matrices) == 1:
+        combo = optimize_weights(matrices, entries, config)
+        return combo.alpha, combo.embeddings, False
+    key = weights_key([keys[name] for name, _, _ in entries], config)
+    if key in weights:
+        try:
+            alpha = weights.get(key)
+        except StoreError as exc:
+            log.warning("weights entry for %s unusable (%s); refitting", list(mats), exc)
+        else:
+            if alpha.shape == (1, len(matrices)):
+                return alpha[0], combine(matrices, alpha[0]), True
+            log.warning("weights entry for %s has shape %s, not (1, %d); refitting",
+                        list(mats), alpha.shape, len(matrices))
+    combo = optimize_weights(matrices, entries, config)
+    weights.put(key, combo.alpha[None, :])
+    return combo.alpha, combo.embeddings, False
 
 
 def run_scenario(
@@ -312,28 +362,32 @@ def run_scenario(
     """Execute each request, reusing cached calibrations across requests.
 
     Per request: ``calibrated_matrices`` calibrates only attributes with no
-    store entry and pulls the rest from the store, then the combination
-    weights are optimized and the release (optionally) evaluated. The reported
-    ``unlearn_seconds`` covers calibration + combination + store traffic;
-    evaluation is timed separately. ``store`` defaults to the one in
-    ``config.resolved_store_dir()``.
+    store entry and pulls the rest from the store, then ``combined_release``
+    reads the set's combination weights from the store's ``weights/``
+    directory or fits and puts them, and the release is (optionally)
+    evaluated. The reported ``unlearn_seconds`` covers calibration +
+    combination + store traffic; evaluation is timed separately. ``store``
+    defaults to the one in ``config.resolved_store_dir()``.
     """
     if store is None:
         store = EmbeddingStore(config.resolved_store_dir())
+    weights = EmbeddingStore(store.directory / WEIGHTS_DIR)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     U0 = model.user_embeddings
-    folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
+    folds = (make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
+             if config.evaluate else None)
 
     reports = []
     for r_idx, request in enumerate(script.requests):
         t_unlearn = time.perf_counter()
         entries = attributes.entries(request)  # raises KeyError for unknown attributes
-        mats, to_run = calibrated_matrices(store, U0, entries, config)
+        mats, to_run, keys = calibrated_matrices(store, U0, entries, config)
         t_calib = time.perf_counter() - t_unlearn
 
         t0 = time.perf_counter()
-        combo = optimize_weights(list(mats.values()), entries, config.combination)
+        alpha, release, weights_cached = combined_release(
+            weights, mats, entries, keys, config.combination)
         t_comb = time.perf_counter() - t0
         unlearn_seconds = time.perf_counter() - t_unlearn
 
@@ -342,21 +396,22 @@ def run_scenario(
         if config.evaluate:
             t0 = time.perf_counter()
             attack = attack_metrics(
-                combo.embeddings,
+                release,
                 attributes.subset(request),
                 folds,
                 max_iterations=config.attack.max_iterations,
             )
             rec = hr_ndcg_at_k(
-                combo.embeddings, model.item_embeddings, dataset, k=config.rec_k
+                release, model.item_embeddings, dataset, k=config.rec_k
             )
             t_eval = time.perf_counter() - t0
 
         report = RunReport(
             request=list(request),
-            alpha=combo.alpha,
+            alpha=alpha,
             calibrations_executed=len(to_run),
             cache_hits=len(request) - len(to_run),
+            weights_cached=weights_cached,
             timings={
                 "calibration": t_calib,
                 "combination": t_comb,
@@ -369,5 +424,5 @@ def run_scenario(
         reports.append(report)
         with open(out_dir / f"request_{r_idx:02d}.json", "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        write_embedding_file(out_dir / f"request_{r_idx:02d}.emb", combo.embeddings)
+        write_embedding_file(out_dir / f"request_{r_idx:02d}.emb", release)
     return reports

@@ -27,16 +27,14 @@ class StoreError(ValueError):
     """A store file or entry that is missing, corrupt or inconsistent."""
 
 
-def _checksum(blob: bytes) -> bytes:
-    return hashlib.sha256(blob).digest()[:8]
-
-
-def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to a temp file only this thread uses, fsync, rename onto ``path``."""
+def atomic_write(path, *chunks) -> None:
+    """Write the byte buffers ``chunks`` in order to a temp file only this thread
+    uses, fsync, rename onto ``path``."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -45,28 +43,37 @@ def atomic_write(path, data: bytes) -> None:
             os.remove(tmp)
 
 
+_HEADER_SIZE = len(EMBEDDING_MAGIC) + 8  # magic, u32 n, u32 d
+_CHECKSUM_SIZE = 8
+
+
 def write_embedding_file(path, matrix: np.ndarray) -> None:
+    """Header, payload and checksum written straight from their buffers; the
+    payload is hashed and written in place, never copied into one blob."""
     matrix = np.ascontiguousarray(matrix, dtype="<f8")
     n, d = matrix.shape
-    blob = EMBEDDING_MAGIC + struct.pack("<II", n, d) + matrix.tobytes()
-    atomic_write(path, blob + _checksum(blob))
+    header = EMBEDDING_MAGIC + struct.pack("<II", n, d)
+    checksum = hashlib.sha256(header)
+    checksum.update(matrix)
+    atomic_write(path, header, matrix, checksum.digest()[:_CHECKSUM_SIZE])
 
 
 def read_embedding_file(path) -> np.ndarray:
+    """The checked matrix, a writable view of the one buffer the file is read into."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(EMBEDDING_MAGIC) + 8 + 8:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        view = memoryview(raw)[: fh.readinto(raw)]
+    if len(view) < _HEADER_SIZE + _CHECKSUM_SIZE:
         raise StoreError(f"{path}: truncated")
-    blob, check = raw[:-8], raw[-8:]
-    if blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
+    if view[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
         raise StoreError(f"{path}: bad magic")
-    if _checksum(blob) != check:
+    body = view[:-_CHECKSUM_SIZE]
+    if hashlib.sha256(body).digest()[:_CHECKSUM_SIZE] != view[-_CHECKSUM_SIZE:]:
         raise StoreError(f"{path}: checksum mismatch")
-    n, d = struct.unpack("<II", blob[len(EMBEDDING_MAGIC) : len(EMBEDDING_MAGIC) + 8])
-    data = np.frombuffer(blob[len(EMBEDDING_MAGIC) + 8 :], dtype="<f8")
-    if data.size != n * d:
+    n, d = struct.unpack_from("<II", raw, len(EMBEDDING_MAGIC))
+    if len(body) - _HEADER_SIZE != 8 * n * d:
         raise StoreError(f"{path}: payload size mismatch")
-    return data.reshape(n, d).copy()
+    return np.frombuffer(raw, dtype="<f8", count=n * d, offset=_HEADER_SIZE).reshape(n, d)
 
 
 class EmbeddingStore:

@@ -332,6 +332,25 @@ def test_bound_check_reuses_combine_calibrations(workspace, tmp_path, monkeypatc
     assert (report["calibrations_executed"], report["cache_hits"]) == (0, 2)
 
 
+def test_combine_reuses_the_weights_of_a_set_named_in_any_order(workspace, tmp_path,
+                                                                monkeypatch):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["combine", "--config", str(config_path), "--attrs", "gender,age"]) == 0
+    first = json.loads((out / "combine_report.json").read_text())
+    released = (out / "request_00.emb").read_bytes()
+
+    def no_fit(*args, **kwargs):
+        raise RuntimeError("fitted weights that the store holds")
+
+    monkeypatch.setattr(scenario, "optimize_weights", no_fit)
+    assert cli_main(["combine", "--config", str(config_path), "--attrs", "age,gender"]) == 0
+    second = json.loads((out / "combine_report.json").read_text())
+    assert (first["weights_cached"], second["weights_cached"]) == (False, True)
+    assert second["alpha"] == first["alpha"]
+    assert (out / "request_00.emb").read_bytes() == released
+
+
 def test_dp_subcommand_sweeps_sigma(workspace):
     root, cfg = workspace
     assert cli_main(["dp", "--config", str(cfg), "--sigma", "0,0.5", "--seed", "1"]) == 0

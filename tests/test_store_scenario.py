@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
 import json
+import logging
 import os
+import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -23,7 +28,11 @@ class TestEmbeddingFiles:
         m = rng.normal(size=(7, 3))
         path = tmp_path / "m.emb"
         write_embedding_file(path, m)
-        assert read_embedding_file(path).tobytes() == m.tobytes()
+        back = read_embedding_file(path)
+        assert back.tobytes() == m.tobytes()
+        assert back.flags.writeable and back.dtype == np.float64
+        body = b"LEGOEMB1" + struct.pack("<II", 7, 3) + m.tobytes()
+        assert path.read_bytes() == body + hashlib.sha256(body).digest()[:8]
 
     def test_checksum_detects_corruption(self, tmp_path):
         m = np.ones((4, 2))
@@ -39,6 +48,19 @@ class TestEmbeddingFiles:
         path = tmp_path / "m.emb"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
         with pytest.raises(StoreError, match="magic"):
+            read_embedding_file(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"LEGOEMB1" + struct.pack("<II", 3, 2) + bytes(40), "payload size mismatch"),
+        (b"LEGOEMB1" + struct.pack("<II", 1, 1) + bytes(12), "payload size mismatch"),
+        (b"LEGOEMB", "truncated"),
+    ], ids=["five-values-for-3x2", "partial-value", "truncated"])
+    def test_malformed_file_named(self, tmp_path, blob, message):
+        # a checksum that holds does not make a file whose length its header
+        # does not give readable
+        path = tmp_path / "m.emb"
+        path.write_bytes(blob + hashlib.sha256(blob).digest()[:8])
+        with pytest.raises(StoreError, match=re.escape(f"{path}: {message}") + "$"):
             read_embedding_file(path)
 
 
@@ -203,8 +225,8 @@ class TestRunScenario:
         second = run_scenario(config2, script, dataset, table, model)[0]
         warm = read_embedding_file(Path(config2.output_dir) / "request_00.emb")
         assert second.calibrations_executed == 0
-        assert np.allclose(first.alpha, second.alpha, atol=1e-12)
-        assert np.allclose(cold, warm, atol=1e-12)
+        assert first.alpha.tobytes() == second.alpha.tobytes()
+        assert cold.tobytes() == warm.tobytes()
 
     def test_corrupted_store_entry_recalibrated(self, tmp_path, caplog):
         config, dataset, table, model = make_pipeline(tmp_path)
@@ -225,13 +247,15 @@ class TestRunScenario:
 
     def test_retrained_model_recalibrates(self, tmp_path):
         config, dataset, table, model = make_pipeline(tmp_path)
-        script = ScenarioScript([["attr0"]])
+        script = ScenarioScript([["attr0", "attr1"]])
         run_scenario(config, script, dataset, table, model)
         retrained = cf.CFModel(model.user_embeddings * 1.01, model.item_embeddings)
-        reports = run_scenario(config, script, dataset, table, retrained)
-        assert (reports[0].calibrations_executed, reports[0].cache_hits) == (1, 0)
-        reports = run_scenario(config, script, dataset, table, model)
-        assert (reports[0].calibrations_executed, reports[0].cache_hits) == (0, 1)
+        (report,) = run_scenario(config, script, dataset, table, retrained)
+        assert (report.calibrations_executed, report.cache_hits, report.weights_cached) == (
+            2, 0, False)
+        (report,) = run_scenario(config, script, dataset, table, model)
+        assert (report.calibrations_executed, report.cache_hits, report.weights_cached) == (
+            0, 2, True)
 
     def test_permuted_labels_recalibrate(self, tmp_path):
         config, dataset, table, model = make_pipeline(tmp_path)
@@ -245,6 +269,7 @@ class TestRunScenario:
         )
         reports = run_scenario(config, script, dataset, relabelled, model)
         assert (reports[0].calibrations_executed, reports[0].cache_hits) == (1, 1)
+        assert not reports[0].weights_cached
 
     def test_key_covers_matrix_labels_and_cardinality(self):
         U0 = np.arange(12.0).reshape(6, 2)
@@ -296,6 +321,80 @@ class TestRunScenario:
         monkeypatch.setenv(scenario.STORE_ENV_VAR, str(override))
         run_scenario(config, ScenarioScript([["attr0"]]), dataset, table, model)
         assert (override / "manifest.json").exists()
+
+
+def _weights_store(config, model, table, names):
+    """The weights store beside ``config``'s calibrations, and the key of ``names``."""
+    store = EmbeddingStore(config.store_dir)
+    keys = store.key(model.user_embeddings, table.entries(names), config.calibration.hash())
+    key = scenario.weights_key([keys[n] for n in names], config.combination)
+    return EmbeddingStore(store.directory / scenario.WEIGHTS_DIR), key
+
+
+def _refuse_fit(*args, **kwargs):
+    raise AssertionError("fitted weights that the store holds")
+
+
+class TestWeightsStore:
+    def test_repeated_request_reads_weights_instead_of_fitting(self, tmp_path, monkeypatch):
+        config, dataset, table, model = make_pipeline(tmp_path)
+        first = run_scenario(config, ScenarioScript([["attr0"], ["attr0", "attr1"]]),
+                             dataset, table, model)
+        out = Path(config.output_dir)
+        released = (out / "request_01.emb").read_bytes()
+        weights, key = _weights_store(config, model, table, ["attr0", "attr1"])
+        # one entry for the pair; the one-attribute request is never looked up
+        assert weights.keys() == [key]
+        assert weights.get(key).tobytes() == first[1].alpha[None, :].tobytes()
+        assert [r.weights_cached for r in first] == [False, False]
+        # the main store lists the calibrations alone
+        assert sorted(k.split("__")[1] for k in EmbeddingStore(config.store_dir).keys()) == [
+            "attr0", "attr1"]
+
+        monkeypatch.setattr(scenario, "optimize_weights", _refuse_fit)
+        (again,) = run_scenario(config, ScenarioScript([["attr1", "attr0"]]),
+                                dataset, table, model)
+        assert (again.calibrations_executed, again.weights_cached) == (0, True)
+        assert again.alpha.tobytes() == first[1].alpha.tobytes()
+        assert (out / "request_00.emb").read_bytes() == released
+        assert json.loads((out / "request_00.json").read_text())["weights_cached"] is True
+
+    def test_changed_combination_setting_refits(self, tmp_path):
+        config, dataset, table, model = make_pipeline(tmp_path)
+        script = ScenarioScript([["attr0", "attr1"]])
+        run_scenario(config, script, dataset, table, model)
+        for f in dataclasses.fields(CombinationConfig):
+            value = getattr(config.combination, f.name)
+            combination = dataclasses.replace(
+                config.combination,
+                **{f.name: value * 2 if isinstance(value, float) else value + 1})
+            changed = dataclasses.replace(config, combination=combination)
+            (report,) = run_scenario(changed, script, dataset, table, model)
+            assert (report.calibrations_executed, report.weights_cached) == (0, False), f.name
+        (report,) = run_scenario(config, script, dataset, table, model)
+        assert report.weights_cached
+
+    @pytest.mark.parametrize("damage", ["flipped-byte", "wrong-shape"])
+    def test_damaged_weights_entry_is_refitted(self, tmp_path, caplog, damage):
+        config, dataset, table, model = make_pipeline(tmp_path)
+        script = ScenarioScript([["attr0", "attr1"]])
+        (first,) = run_scenario(config, script, dataset, table, model)
+        released = (Path(config.output_dir) / "request_00.emb").read_bytes()
+        weights, key = _weights_store(config, model, table, ["attr0", "attr1"])
+        path = weights.directory / weights._file_name(key)
+        entry = path.read_bytes()
+        if damage == "flipped-byte":
+            blob = bytearray(entry)
+            blob[20] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        else:
+            weights.put(key, first.alpha[:, None])
+        with caplog.at_level(logging.WARNING):
+            (report,) = run_scenario(config, script, dataset, table, model)
+        assert "refitting" in caplog.text
+        assert not report.weights_cached
+        assert path.read_bytes() == entry
+        assert (Path(config.output_dir) / "request_00.emb").read_bytes() == released
 
 
 class TestScriptAndConfig:
