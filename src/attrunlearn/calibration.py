@@ -21,7 +21,6 @@ step on an N x d gradient followed by :func:`project_ball`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import mi
 from .nets import OptimizerState, optimizer_step
+from .store import atomic_write
 
 
 @dataclass
@@ -192,11 +192,9 @@ def calibrate(
 
 
 def trace_to_csv(result: CalibrationResult, path) -> None:
-    """Emit the optimization trace as (iteration, mi, nll, distance) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mi_estimate", "nll", "distance"])
-        for i, (m, nl, dist) in enumerate(
-            zip(result.mi_trace, result.nll_trace, result.distance_trace)
-        ):
-            writer.writerow([i, f"{m:.10g}", f"{nl:.10g}", f"{dist:.10g}"])
+    """Emit the optimization trace as (iteration, mi, nll, distance) CSV rows,
+    each ended by CRLF as ``csv.writer`` ends them."""
+    rows = enumerate(zip(result.mi_trace, result.nll_trace, result.distance_trace))
+    text = "iteration,mi_estimate,nll,distance\r\n" + "".join(
+        f"{i},{m:.10g},{nl:.10g},{dist:.10g}\r\n" for i, (m, nl, dist) in rows)
+    atomic_write(path, text.encode())

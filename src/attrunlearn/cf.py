@@ -6,6 +6,7 @@ embedding matrix; item embeddings stay frozen once training ends.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .data import InteractionDataset
 from .nets import OptimizerState, optimizer_step
+from .store import atomic_write
 
 CHECKPOINT_MAGIC = b"LEGOCF01"
 _L2_WEIGHT = 1e-5  # BPR's L2 penalty on the embedding rows of each batch
@@ -160,20 +162,27 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
     )
 
 
-def save_model(model: CFModel, path) -> None:
+def save_model(model: CFModel, path) -> str:
+    """Publish the checkpoint through ``atomic_write``; returns its bytes' hex SHA-256."""
     n, d = model.user_embeddings.shape
     m = model.item_embeddings.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", n, m, d))
-        fh.write(np.ascontiguousarray(model.user_embeddings, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.item_embeddings, dtype="<f8").tobytes())
+    chunks = (CHECKPOINT_MAGIC + struct.pack("<III", n, m, d),
+              np.ascontiguousarray(model.user_embeddings, dtype="<f8"),
+              np.ascontiguousarray(model.item_embeddings, dtype="<f8"))
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    atomic_write(path, *chunks)
+    return digest.hexdigest()
 
 
-def load_model(path) -> CFModel:
-    """Read a checkpoint; a bad magic or a length other than its header gives is a ValueError."""
+def load_model(path, sha256: str) -> CFModel:
+    """Read a checkpoint; bytes whose hex SHA-256 is not ``sha256``, a bad magic or a
+    length other than its header gives is a ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise ValueError(f"{path}: checksum mismatch")
     head = len(CHECKPOINT_MAGIC) + 12
     if len(raw) < head or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint")

@@ -25,7 +25,8 @@ from .scenario import (
     load_dataset,
     run_scenario,
 )
-from .store import EmbeddingStore, read_embedding_file, write_embedding_file
+from .store import (EmbeddingStore, atomic_write, read_embedding_file, write_embedding_file,
+                    write_json)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,14 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(config: Config, name: str, payload: dict) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_report(config: Config, name: str, payload: dict) -> None:
+    path = Path(config.output_dir) / name
+    write_json(path, payload)
     print(path)
-    return path
 
 
 def _parse_sigmas(text: str) -> list[float]:
@@ -99,7 +96,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args) -> int:
+def _preflight(args):
+    """Every refusal the CLI makes before a model is trained, in the order below.
+    Returns (config, script, sigmas, dataset, table, entries, U, store), None where
+    the command needs none; ``combine``'s script is the one request its --attrs name."""
     config = Config.from_json(args.config)
     # a malformed script or sigma list fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
@@ -127,9 +127,24 @@ def _dispatch(args) -> int:
     trace_csv = getattr(args, "trace_csv", None)
     if trace_csv and not Path(trace_csv).parent.is_dir():
         raise ValueError(f"--trace-csv: directory {str(Path(trace_csv).parent)!r} does not exist")
+    if trace_csv and Path(trace_csv).is_dir():
+        raise ValueError(f"--trace-csv: {trace_csv!r} is a directory")
     # and a store directory that cannot be opened
     store = (EmbeddingStore(config.resolved_store_dir())
              if args.command in ("calibrate", "combine", "scenario", "bound-check") else None)
+    # and an output, store or trace directory that cannot be written
+    directories = [Path(config.output_dir)] + ([store.directory] if store else [])
+    for directory in directories + ([Path(trace_csv).parent] if trace_csv else []):
+        directory.mkdir(parents=True, exist_ok=True)
+        atomic_write(directory / ".preflight", b"")
+        (directory / ".preflight").unlink(missing_ok=True)  # a concurrent run may be first
+    if args.command == "combine":
+        script = ScenarioScript([names])
+    return config, script, sigmas, dataset, table, entries, U, store
+
+
+def _dispatch(args) -> int:
+    config, script, sigmas, dataset, table, entries, U, store = _preflight(args)
     # an attack on an embedding file needs no recommender; U is the user matrix worked on
     model = None if args.command == "attack" and U is not None else ensure_model(config, dataset)
     U = model.user_embeddings if U is None else U
@@ -167,12 +182,6 @@ def _dispatch(args) -> int:
         )
         return 0
 
-    if args.command == "combine":
-        script = ScenarioScript([names])
-        reports = run_scenario(config, script, dataset, table, model, store)
-        _write_report(config, "combine_report.json", reports[0].to_dict())
-        return 0
-
     if args.command == "attack":
         folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         report = attack_metrics(U, table, folds, max_iterations=config.attack.max_iterations)
@@ -184,13 +193,12 @@ def _dispatch(args) -> int:
         _write_report(config, "rec_report.json", json.loads(report.to_json()))
         return 0
 
-    if args.command == "scenario":
-        reports = run_scenario(config, script, dataset, table, model, store)
-        _write_report(
-            config,
-            "scenario_report.json",
-            {"requests": [r.to_dict() for r in reports]},
-        )
+    if args.command in ("combine", "scenario"):
+        reports = [r.to_dict() for r in run_scenario(config, script, dataset, table, model, store)]
+        if args.command == "combine":
+            _write_report(config, "combine_report.json", reports[0])
+        else:
+            _write_report(config, "scenario_report.json", {"requests": reports})
         return 0
 
     if args.command == "bound-check":
@@ -203,11 +211,9 @@ def _dispatch(args) -> int:
     if args.command == "dp":
         folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         curve = []
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for sigma in sigmas:
             noisy = dp_baseline(U, sigma, args.seed)
-            write_embedding_file(out / f"dp_sigma_{sigma:g}.emb", noisy)
+            write_embedding_file(Path(config.output_dir) / f"dp_sigma_{sigma:g}.emb", noisy)
             attack = attack_metrics(
                 noisy, table, folds, max_iterations=config.attack.max_iterations
             )

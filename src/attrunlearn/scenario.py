@@ -33,7 +33,7 @@ from .data import (
     preprocess_split,
 )
 from .evaluation import AttackReport, RecReport, attack_metrics, hr_ndcg_at_k, make_folds
-from .store import EmbeddingStore, StoreError, write_embedding_file
+from .store import EmbeddingStore, StoreError, write_embedding_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +80,7 @@ class ScenarioScript:
         return cls(payload.get("requests"))
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"schema_version": SCHEMA_VERSION, "requests": self.requests}, fh, indent=2)
+        write_json(path, {"schema_version": SCHEMA_VERSION, "requests": self.requests})
 
 
 _DATASET_KEYS = {"format": "dataset_format", "ratings_path": "ratings_path",
@@ -174,8 +173,7 @@ class Config:
         payload = asdict(self)
         payload["dataset"] = {key: payload.pop(name) for key, name in _DATASET_KEYS.items()}
         payload["schema_version"] = SCHEMA_VERSION
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, payload)
 
 
 @dataclass
@@ -216,25 +214,28 @@ def load_dataset(config: Config) -> tuple[InteractionDataset, AttributeTable]:
 
 
 def ensure_model(config: Config, dataset: InteractionDataset) -> CFModel:
-    """Load the checkpoint if the training config recorded beside it matches and
-    the file reads back whole, else train."""
+    """Load the checkpoint if the record beside it names this training config and
+    the checkpoint's SHA-256, and the file reads back whole, else train."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"model_{dataset.fingerprint()}_{config.cf.seed}.cf"
     record = ckpt.with_suffix(".json")
-    trained_with = json.dumps(asdict(config.cf), sort_keys=True)
-    if ckpt.exists() and record.exists() and record.read_text() == trained_with:
+    trained_with = asdict(config.cf)
+    try:
+        recorded = json.loads(record.read_text())
+    except (FileNotFoundError, ValueError):  # no record, or one that does not parse
+        recorded = None
+    if isinstance(recorded, dict) and recorded.get("cf") == trained_with and ckpt.exists():
         try:
-            model = load_model(ckpt)
+            model = load_model(ckpt, recorded.get("sha256"))
         except ValueError as exc:
             log.warning("checkpoint unreadable (%s); retraining", exc)
         else:
             if model.user_embeddings.shape == (dataset.n_users, config.cf.dim):
                 return model
     model = train_cf(dataset, config.cf)
-    record.unlink(missing_ok=True)  # never leave a record that names another model
-    save_model(model, ckpt)
-    record.write_text(trained_with)
+    # checkpoint first, record second: a record never names a checkpoint not yet whole
+    write_json(record, {"cf": trained_with, "sha256": save_model(model, ckpt)})
     return model
 
 
@@ -422,7 +423,6 @@ def run_scenario(
             rec=rec,
         )
         reports.append(report)
-        with open(out_dir / f"request_{r_idx:02d}.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(out_dir / f"request_{r_idx:02d}.json", report.to_dict())
         write_embedding_file(out_dir / f"request_{r_idx:02d}.emb", release)
     return reports

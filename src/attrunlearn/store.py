@@ -1,8 +1,8 @@
 """On-disk store of calibrated embedding matrices keyed by content hashes.
 
 Files carry a trailing checksum (first 8 bytes of SHA-256 over header and
-payload). ``atomic_write`` publishes every file through a temp file private
-to its writer and a rename, so no reader sees a half-written file.
+payload). ``atomic_write`` publishes every file the package writes through a
+temp file private to its writer and a rename, so no reader sees it half-written.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ def atomic_write(path, *chunks) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented sorted-key JSON, published by ``atomic_write``."""
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode())
 
 
 _HEADER_SIZE = len(EMBEDDING_MAGIC) + 8  # magic, u32 n, u32 d
@@ -135,8 +140,7 @@ class EmbeddingStore:
                 "n": int(matrix.shape[0]),
                 "d": int(matrix.shape[1]),
             }
-            atomic_write(self.directory / MANIFEST_NAME,
-                         json.dumps(manifest, indent=2, sort_keys=True).encode())
+            write_json(self.directory / MANIFEST_NAME, manifest)
 
     def get(self, key: str) -> np.ndarray:
         try:

@@ -170,7 +170,6 @@ class TestSwapInAndCheckpoint:
         dataset, _ = synthetic
         model = cf.train_cf(dataset, cf.CFTrainConfig(dim=8, epochs=1, seed=1))
         path = tmp_path / "model.cf"
-        cf.save_model(model, path)
-        loaded = cf.load_model(path)
+        loaded = cf.load_model(path, cf.save_model(model, path))
         assert loaded.user_embeddings.tobytes() == model.user_embeddings.tobytes()
         assert loaded.item_embeddings.tobytes() == model.item_embeddings.tobytes()

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -208,28 +209,52 @@ def test_unknown_attribute_exit_1_before_training(workspace, tmp_path, capsys, a
     assert not list(tmp_path.glob("out/model_*"))
 
 
-@pytest.mark.parametrize("args, store_is_file", [
-    (["bound-check", "--attrs", "gender"], False),
-    (["bound-check", "--attrs", "gender,gender"], False),
-    (["bound-check", "--attrs", ","], False),
-    (["combine", "--attrs", ","], False),
-    (["rec-eval", "--embeddings", "{tmp}/missing.emb"], False),
-    (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], False),
-    (["calibrate", "--attr", "gender"], True),
-    (["combine", "--attrs", "gender"], True),
-    (["bound-check", "--attrs", "gender,age"], True),
+# root writes into a directory whatever its mode bits say
+_NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
+
+
+@pytest.mark.parametrize("args, setup", [
+    (["bound-check", "--attrs", "gender"], None),
+    (["bound-check", "--attrs", "gender,gender"], None),
+    (["bound-check", "--attrs", ","], None),
+    (["combine", "--attrs", ","], None),
+    (["rec-eval", "--embeddings", "{tmp}/missing.emb"], None),
+    (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], None),
+    (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}"], None),
+    (["calibrate", "--attr", "gender"], "store-is-file"),
+    (["combine", "--attrs", "gender"], "store-is-file"),
+    (["bound-check", "--attrs", "gender,age"], "store-is-file"),
+    pytest.param(["train"], "out-read-only", marks=_NEEDS_MODE_BITS),
+    pytest.param(["calibrate", "--attr", "gender"], "store-read-only", marks=_NEEDS_MODE_BITS),
+    pytest.param(["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/traces/t.csv"],
+                 "traces-read-only", marks=_NEEDS_MODE_BITS),
 ], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
         "combine-no-attr",
-        "rec-eval-missing-emb", "calibrate-missing-trace-dir",
-        "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file"])
+        "rec-eval-missing-emb", "calibrate-missing-trace-dir", "calibrate-trace-is-dir",
+        "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file",
+        "train-out-read-only", "calibrate-store-read-only", "calibrate-trace-dir-read-only"])
 def test_unservable_request_exit_1_before_training(
-    workspace, tmp_path, capsys, args, store_is_file
+    workspace, tmp_path, capsys, monkeypatch, args, setup
 ):
     config_path = _fresh_output_config(workspace[1], tmp_path)
-    if store_is_file:  # the configured store directory is a regular file
+    if setup == "store-is-file":  # the configured store directory is a regular file
         (tmp_path / "store").write_text("")
+    read_only = {f"{name}-read-only": tmp_path / name
+                 for name in ("out", "store", "traces")}.get(setup)
+    if read_only:
+        read_only.mkdir()
+        read_only.chmod(0o555)
+
+    def no_training(*_args, **_kwargs):
+        pytest.fail("trained a model for a request that cannot be served")
+
+    monkeypatch.setattr(scenario, "train_cf", no_training)
     args = [a.format(tmp=tmp_path) for a in args]
-    assert cli_main([*args, "--config", str(config_path)]) == 1
+    try:
+        assert cli_main([*args, "--config", str(config_path)]) == 1
+    finally:
+        if read_only:
+            read_only.chmod(0o755)
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.glob("out/model_*"))
     assert not list(tmp_path.glob("store/*"))

@@ -447,7 +447,8 @@ class TestEnsureModel:
 
     @pytest.mark.parametrize("damage", [
         lambda blob: blob[:-16], lambda blob: blob + bytes(8), lambda blob: blob[:10],
-    ], ids=["truncated", "trailing-bytes", "cut-header"])
+        lambda blob: blob[:40] + bytes([blob[40] ^ 0xFF]) + blob[41:],
+    ], ids=["truncated", "trailing-bytes", "cut-header", "flipped-byte"])
     def test_damaged_checkpoint_is_retrained(self, tmp_path, caplog, damage):
         dataset, _ = data.synthetic_dataset(40, 30, d_signal=2, seed=7)
         config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path))
