@@ -71,7 +71,13 @@ class RecReport:
 
 
 def make_folds(n_users: int, n_folds: int = 5, seed: int = 0) -> FoldSpec:
-    """Partition users into folds whose sizes differ by at most one."""
+    """Partition users into folds whose sizes differ by at most one.
+
+    Needs 2 <= n_folds <= n_users, so that every fold has a test side and a
+    train side.
+    """
+    if not 2 <= n_folds <= n_users:
+        raise ValueError(f"need 2 <= n_folds <= n_users, got {n_folds} folds of {n_users} users")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_users)
     assignments = np.empty(n_users, dtype=np.int64)
@@ -163,38 +169,35 @@ def predict(net: DenseNetwork, embeddings: np.ndarray) -> np.ndarray:
     return nets.forward(net, embeddings).argmax(axis=1)
 
 
-def _attack_one(
-    U: np.ndarray, labels: np.ndarray, cardinality: int, folds: FoldSpec, max_iterations: int
-) -> AttributeAttackStats:
+def _usable_folds(labels: np.ndarray, folds: FoldSpec) -> FoldSpec:
+    """``folds``, or the first regenerated split whose every train side holds
+    at least two classes."""
     spec = folds
     for attempt in range(20):
         ok = all(
             len(np.unique(labels[spec.assignments != f])) >= 2 for f in range(spec.n_folds)
         )
         if ok:
-            break
+            return spec
         log.warning(
             "fold split (seed=%d) left a train side single-class; regenerating", spec.seed
         )
-        spec = make_folds(len(U), spec.n_folds, spec.seed + 1 + attempt)
-    else:
-        raise ValueError("could not build folds with >=2 train classes")
-    baccs, f1s = [], []
-    for f in range(spec.n_folds):
-        train_mask = spec.assignments != f
-        net = train_attacker(
-            U[train_mask], labels[train_mask], cardinality, seed=spec.seed * 1000 + f,
-            max_iterations=max_iterations,
-        )
-        preds = predict(net, U[~train_mask])
-        baccs.append(bacc(preds, labels[~train_mask]))
-        f1s.append(micro_f1(preds, labels[~train_mask]))
-    return AttributeAttackStats(
-        bacc_mean=float(np.mean(baccs)),
-        bacc_std=float(np.std(baccs)),
-        f1_mean=float(np.mean(f1s)),
-        f1_std=float(np.std(f1s)),
+        spec = make_folds(len(labels), spec.n_folds, spec.seed + 1 + attempt)
+    raise ValueError("could not build folds with >=2 train classes")
+
+
+def _attack_fold(
+    U: np.ndarray, labels: np.ndarray, cardinality: int, spec: FoldSpec, fold: int,
+    max_iterations: int,
+) -> tuple[float, float]:
+    """BAcc and micro-F1 on fold ``fold`` of an attacker trained on the others."""
+    train_mask = spec.assignments != fold
+    net = train_attacker(
+        U[train_mask], labels[train_mask], cardinality, seed=spec.seed * 1000 + fold,
+        max_iterations=max_iterations,
     )
+    preds = predict(net, U[~train_mask])
+    return bacc(preds, labels[~train_mask]), micro_f1(preds, labels[~train_mask])
 
 
 def attack_metrics(
@@ -203,15 +206,34 @@ def attack_metrics(
     """Five-fold cross-validated attack against every attribute in the table.
 
     Classifiers are always trained on the same matrix they are evaluated on,
-    for at most ``max_iterations`` full-batch steps each.
+    for at most ``max_iterations`` full-batch steps each. Each attribute's
+    folds are checked (and regenerated) first; then every (attribute, fold)
+    fit runs on one thread pool of ``nets.parallel_fits()`` threads. The fits
+    are seeded and independent, and their scores are regrouped in entry and
+    fold order, so the report is the serial one whatever the thread count.
     """
     entries = attributes.entries() if isinstance(attributes, AttributeTable) else attributes
-    per_attr = {}
-    for name, labels, cardinality in entries:
+    if not entries:
+        raise ValueError("attack needs at least one attribute")
+    jobs = []
+    for i, (name, labels, cardinality) in enumerate(entries):
         labels = np.asarray(labels)
         if len(labels) != len(U):
             raise ValueError(f"attribute {name!r}: labels do not cover all users")
-        per_attr[name] = _attack_one(U, labels, cardinality, folds, max_iterations)
+        spec = _usable_folds(labels, folds)
+        jobs += [(i, labels, cardinality, spec, f) for f in range(spec.n_folds)]
+    scores = nets.thread_map(
+        lambda job: _attack_fold(U, *job[1:], max_iterations), jobs, nets.parallel_fits()
+    )
+    per_attr = {}
+    for i, (name, _, _) in enumerate(entries):  # a repeated name keeps its last entry
+        baccs, f1s = zip(*[score for job, score in zip(jobs, scores) if job[0] == i])
+        per_attr[name] = AttributeAttackStats(
+            bacc_mean=float(np.mean(baccs)),
+            bacc_std=float(np.std(baccs)),
+            f1_mean=float(np.mean(f1s)),
+            f1_std=float(np.std(f1s)),
+        )
     return AttackReport(
         per_attribute=per_attr,
         bacc_average=float(np.mean([s.bacc_mean for s in per_attr.values()])),

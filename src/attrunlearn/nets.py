@@ -16,12 +16,18 @@ A :class:`DenseNetwork` holds all its parameters in one float64 buffer,
 gradients out the same way in ``bundle.flat``, so one Adam step over
 ``[net.flat]`` is bitwise the per-parameter step over ``parameters()``: Adam
 is elementwise.
+
+:func:`thread_map` is the package's one parallel mechanism: independent,
+seeded fits (calibrations, attacker folds) run on a thread pool and come back
+in submission order, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,6 +110,49 @@ class OptimizerState:
     def held_rows(self, i: int) -> np.ndarray | None:
         """Rows of parameter ``i`` that a step may change, or None for all of them."""
         return self.moments[i].held_rows()
+
+
+# the variables OpenBLAS, numpy's bundled BLAS, reads for its thread count, in
+# its order; with none of them set it starts a thread per core
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def parallel_fits() -> int:
+    """How many matmul-bound fits can run at once: the usable cores over the
+    threads each BLAS call may start, and 1 when BLAS may take every core.
+
+    A threaded BLAS called from several Python threads at once is slower than
+    one thread calling it: on a 2-core host the acceptance pipeline's 15
+    attacker fits took 8.5-9.1 s on 2 threads with OpenBLAS at its default,
+    5.5-6.6 s serially, and 3.7-4.1 s on 2 threads with one BLAS thread.
+    """
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, usable_cores() // int(value))
+    return 1
+
+
+def thread_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads, in item order.
+
+    With one worker or one item it is a plain ``map`` in the calling thread.
+    An exception from ``fn`` propagates (the first in item order), items not
+    yet started are cancelled, and the pool's threads are joined first.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def init_network(layer_sizes: list[int], seed: int) -> DenseNetwork:

@@ -15,12 +15,12 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import nets
 from .calibration import CalibrationConfig, CalibrationResult, calibrate
 from .cf import CFModel, CFTrainConfig, load_model, save_model, train_cf
 from .combination import CombinationConfig, combine, optimize_weights
@@ -269,10 +269,7 @@ def calibrate_many(
         name, labels, cardinality = entry
         return name, calibrate(U0, labels, config, attribute=name, cardinality=cardinality)
 
-    if workers <= 1 or len(entries) <= 1:
-        return dict(map(run, entries))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(run, entries))
+    return dict(nets.thread_map(run, entries, workers))
 
 
 def calibrated_matrices(

@@ -1,13 +1,24 @@
 """Independent test oracles kept deliberately separate from the library paths."""
 
 import hashlib
+import logging
 
 import numpy as np
 
 from attrunlearn import calibration, cf, mi, nets
 from attrunlearn.cf import CFModel
 from attrunlearn.data import ML100K_OCCUPATIONS, Attribute, AttributeTable, InteractionDataset
-from attrunlearn.evaluation import bacc
+from attrunlearn.evaluation import (
+    AttackReport,
+    AttributeAttackStats,
+    bacc,
+    make_folds,
+    micro_f1,
+    predict,
+    train_attacker,
+)
+
+log = logging.getLogger(__name__)
 
 
 def random_kink_free_net(rng, sizes=None):
@@ -322,6 +333,55 @@ def reference_micro_f1(predictions, labels) -> float:
     if tp == 0 and fp == 0 and fn == 0:
         return 0.0
     return 100.0 * 2.0 * tp / (2.0 * tp + fp + fn)
+
+
+def _reference_attack_one(U, labels, cardinality, folds, max_iterations):
+    spec = folds
+    for attempt in range(20):
+        ok = all(
+            len(np.unique(labels[spec.assignments != f])) >= 2 for f in range(spec.n_folds)
+        )
+        if ok:
+            break
+        log.warning(
+            "fold split (seed=%d) left a train side single-class; regenerating", spec.seed
+        )
+        spec = make_folds(len(U), spec.n_folds, spec.seed + 1 + attempt)
+    else:
+        raise ValueError("could not build folds with >=2 train classes")
+    baccs, f1s = [], []
+    for f in range(spec.n_folds):
+        train_mask = spec.assignments != f
+        net = train_attacker(
+            U[train_mask], labels[train_mask], cardinality, seed=spec.seed * 1000 + f,
+            max_iterations=max_iterations,
+        )
+        preds = predict(net, U[~train_mask])
+        baccs.append(bacc(preds, labels[~train_mask]))
+        f1s.append(micro_f1(preds, labels[~train_mask]))
+    return AttributeAttackStats(
+        bacc_mean=float(np.mean(baccs)),
+        bacc_std=float(np.std(baccs)),
+        f1_mean=float(np.mean(f1s)),
+        f1_std=float(np.std(f1s)),
+    )
+
+
+def reference_attack_metrics(U, attributes, folds, max_iterations=500) -> AttackReport:
+    """The cross-validated attack as one serial loop: attribute by attribute,
+    fold by fold, each attribute's folds regenerated just before its fits."""
+    entries = attributes.entries() if isinstance(attributes, AttributeTable) else attributes
+    per_attr = {}
+    for name, labels, cardinality in entries:
+        labels = np.asarray(labels)
+        if len(labels) != len(U):
+            raise ValueError(f"attribute {name!r}: labels do not cover all users")
+        per_attr[name] = _reference_attack_one(U, labels, cardinality, folds, max_iterations)
+    return AttackReport(
+        per_attribute=per_attr,
+        bacc_average=float(np.mean([s.bacc_mean for s in per_attr.values()])),
+        f1_average=float(np.mean([s.f1_mean for s in per_attr.values()])),
+    )
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -1,9 +1,10 @@
 import logging
+import threading
 
 import numpy as np
 import pytest
 
-from _oracles import float_digest, reference_micro_f1, top_k
+from _oracles import float_digest, reference_attack_metrics, reference_micro_f1, top_k
 from attrunlearn import data, evaluation, nets
 from attrunlearn.evaluation import (
     FoldSpec,
@@ -94,6 +95,17 @@ class TestFolds:
         b = make_folds(50, seed=9)
         assert np.array_equal(a.assignments, b.assignments)
 
+    @pytest.mark.parametrize("n_folds", [0, 1, -2])
+    def test_fewer_than_two_folds_rejected(self, n_folds):
+        with pytest.raises(ValueError, match="n_folds"):
+            make_folds(10, n_folds=n_folds)
+
+    def test_more_folds_than_users_rejected(self):
+        # 5 folds of 4 users would leave one test side empty and its BAcc NaN
+        with pytest.raises(ValueError, match="n_folds <= n_users"):
+            make_folds(4, n_folds=5)
+        assert sorted(make_folds(5, n_folds=5).assignments) == [0, 1, 2, 3, 4]
+
 
 class TestTrainAttacker:
     def test_separable_toy_data(self):
@@ -178,6 +190,10 @@ class TestAttackMetrics:
         assert "regenerating" in caplog.text
         assert 0.0 <= report.per_attribute["attr"].bacc_mean <= 100.0
 
+    def test_no_attribute_rejected(self):
+        with pytest.raises(ValueError, match="at least one attribute"):
+            attack_metrics(np.zeros((10, 2)), [], make_folds(10, seed=0))
+
     def test_report_json_shape(self):
         rng = np.random.default_rng(9)
         labels = rng.permutation(np.arange(60) % 2)
@@ -185,6 +201,104 @@ class TestAttackMetrics:
         report = attack_metrics(U, [("g", labels, 2)], make_folds(60, seed=3))
         payload = report.to_json()
         assert '"bacc_mean"' in payload and '"averages"' in payload
+
+
+def _fit_threads(monkeypatch, threads):
+    monkeypatch.setattr(nets, "parallel_fits", lambda: threads)
+
+
+class TestPooledAttack:
+    """The pooled attack against the serial loop of ``reference_attack_metrics``."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_report_equals_serial_loop(self, monkeypatch, threads):
+        _fit_threads(monkeypatch, threads)
+        dataset, table = data.synthetic_dataset(
+            150, 40, d_signal=2, seed=31, cardinalities=(2, 21), items_per_user=8)
+        U = dataset.oracle_embeddings
+        assert [c for _, _, c in table.entries()] == [2, 21]
+        folds = make_folds(len(U), seed=4)
+        pooled = attack_metrics(U, table, folds, max_iterations=40)
+        assert pooled.to_json() == reference_attack_metrics(U, table, folds, 40).to_json()
+
+    def test_regenerated_folds_equal_serial_loop(self, monkeypatch, caplog):
+        _fit_threads(monkeypatch, 3)
+        rng = np.random.default_rng(8)
+        labels = np.zeros(20, int)
+        labels[[3, 7]] = 1
+        U = rng.normal(size=(20, 4))
+        U[labels == 1] += 3.0
+        assignments = np.arange(20) % 5
+        assignments[[3, 7]] = 0
+        assignments[[0, 5]] = 3, 1
+        bad = FoldSpec(seed=123, assignments=assignments, n_folds=5)
+        entries = [("attr", labels, 2), ("other", rng.permutation(np.arange(20) % 3), 3)]
+        with caplog.at_level(logging.WARNING):
+            pooled = attack_metrics(U, entries, bad, max_iterations=30)
+        assert "regenerating" in caplog.text
+        assert pooled.to_json() == reference_attack_metrics(U, entries, bad, 30).to_json()
+
+    def test_repeated_name_keeps_last_entry_as_serial_loop(self, monkeypatch):
+        _fit_threads(monkeypatch, 3)
+        rng = np.random.default_rng(12)
+        U = rng.normal(size=(40, 3))
+        entries = [("a", np.arange(40) % 2, 2), ("a", rng.permutation(np.arange(40) % 3), 3)]
+        folds = make_folds(40, seed=5)
+        pooled = attack_metrics(U, entries, folds, max_iterations=20)
+        assert pooled.to_json() == reference_attack_metrics(U, entries, folds, 20).to_json()
+
+    def test_non_finite_embeddings_raise_through_the_pool(self, monkeypatch):
+        _fit_threads(monkeypatch, 3)
+        U = np.random.default_rng(13).normal(size=(30, 3))
+        U[4, 1] = np.nan
+        entries = [("a", np.arange(30) % 2, 2), ("b", np.arange(30) % 3, 3)]
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            attack_metrics(U, entries, make_folds(30, seed=1), max_iterations=20)
+        assert threading.active_count() == before
+
+
+class TestThreadMap:
+    def test_order_independent_of_workers(self):
+        items = list(range(23))
+        square = lambda x: (x, x * x)  # noqa: E731
+        assert nets.thread_map(square, items, 1) == nets.thread_map(square, items, 3)
+        assert nets.thread_map(square, items, 3) == [(x, x * x) for x in items]
+        assert nets.thread_map(square, [], 3) == []
+
+    def test_runs_items_at_once(self):
+        # each item waits for the other two: this passes only on three live threads
+        barrier = threading.Barrier(3, timeout=30)
+
+        def wait_for_all(x):
+            barrier.wait()
+            return x
+
+        assert nets.thread_map(wait_for_all, [1, 2, 3], 3) == [1, 2, 3]
+
+    def test_one_worker_stays_in_calling_thread(self):
+        caller = threading.get_ident()
+        assert set(nets.thread_map(lambda _: threading.get_ident(), range(4), 1)) == {caller}
+
+    def test_usable_cores_positive(self):
+        assert nets.usable_cores() >= 1
+
+    @pytest.mark.parametrize("env, fits", [
+        ({}, 1),  # BLAS starts a thread per core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ])
+    def test_parallel_fits_leave_blas_its_threads(self, monkeypatch, env, fits):
+        monkeypatch.setattr(nets, "usable_cores", lambda: 4)
+        for name in nets._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert nets.parallel_fits() == fits
 
 
 def ranking_fixture():
