@@ -33,6 +33,8 @@ class CFTrainConfig:
             raise ValueError("CF config values must be positive (epochs may be 0)")
         if not 0 < self.learning_rate < np.inf:  # NaN fails the comparison too
             raise ValueError(f"'learning_rate' must be finite and > 0, got {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed!r}")
 
 
 @dataclass

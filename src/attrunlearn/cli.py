@@ -104,6 +104,8 @@ def _preflight(args):
     # a malformed script or sigma list fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
     sigmas = _parse_sigmas(args.sigma) if args.command == "dp" else None
+    if args.command == "dp" and args.seed < 0:
+        raise ValueError(f"--seed: {args.seed} must be >= 0")
     dataset, table = load_dataset(config)
     # unknown attribute names fail before a model is trained
     if args.command == "calibrate":

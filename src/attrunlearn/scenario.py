@@ -49,8 +49,8 @@ class AttackSettings:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.n_folds < 2 or self.max_iterations < 0:
-            raise ValueError("attack needs n_folds >= 2 and max_iterations >= 0")
+        if self.n_folds < 2 or self.max_iterations < 0 or self.seed < 0:
+            raise ValueError("attack needs n_folds >= 2, max_iterations >= 0 and seed >= 0")
 
 
 @dataclass
@@ -256,7 +256,8 @@ def calibrate_many(
     workers: int = 1,
 ) -> dict[str, CalibrationResult]:
     """Calibrate U0 once per (name, labels, cardinality) entry, on up to
-    ``workers`` threads; results are keyed by name in entry order.
+    ``workers`` threads of ``nets.thread_map`` (which decides whether they
+    share the cores); results are keyed by name in entry order.
 
     Each run derives its own seed from (config.seed, name), so the results are
     the same whatever the worker count.

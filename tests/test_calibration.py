@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from _oracles import reference_ball_descent, reference_calibrate
-from attrunlearn import calibration, data, evaluation, nets
+from attrunlearn import calibration, data, evaluation, nets, scenario
 from attrunlearn.calibration import CalibrationConfig, CalibrationError, project_ball
 from attrunlearn.scenario import calibrate_many
 
@@ -208,6 +210,12 @@ class TestCalibrate:
         assert info.value.trace == clean.mi_trace.tolist()
         assert len(info.value.trace) == 3
 
+    def test_non_finite_u0_rejected(self):
+        U0 = np.random.default_rng(7).normal(size=(16, 4))
+        U0[3, 2] = np.nan
+        with pytest.raises(ValueError, match="U0 has non-finite entries"):
+            calibration.calibrate(U0, np.array([0, 1] * 8), CalibrationConfig(iterations=5))
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             calibration.calibrate(
@@ -234,11 +242,30 @@ class TestCalibrateMany:
         )
         assert many[entries[0][0]].embeddings.tobytes() == solo.embeddings.tobytes()
 
-    def test_workers_do_not_change_outputs(self, multi):
+    def test_workers_do_not_change_outputs(self, multi, monkeypatch):
+        monkeypatch.setattr(nets, "parallel_fits", lambda: 3)  # a real pool on any host
         U0, entries = multi
         cfg = CalibrationConfig(iterations=60, batch_size=32, seed=10)
         seq = calibrate_many(U0, entries, cfg, workers=1)
         par = calibrate_many(U0, entries, cfg, workers=3)
+        for name in (e[0] for e in entries):
+            assert seq[name].embeddings.tobytes() == par[name].embeddings.tobytes()
+
+    def test_serial_while_blas_takes_every_core(self, multi, monkeypatch):
+        # parallel_fits() is 1 with BLAS unpinned: workers=3 is only an upper bound
+        monkeypatch.setattr(nets, "parallel_fits", lambda: 1)
+        U0, entries = multi
+        cfg = CalibrationConfig(iterations=30, batch_size=32, seed=10)
+        seq = calibrate_many(U0, entries, cfg, workers=1)
+        real, threads = scenario.calibrate, []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "calibrate", spy)
+        par = calibrate_many(U0, entries, cfg, workers=3)
+        assert threads == [threading.get_ident()] * len(entries)
         for name in (e[0] for e in entries):
             assert seq[name].embeddings.tobytes() == par[name].embeddings.tobytes()
 

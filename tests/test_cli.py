@@ -83,6 +83,7 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     ("calibration", "variational_lr", -1e-3),
     ("combination", "variational_lr", -0.5),
     ("combination", "step_size", float("inf")),
+    ("cf", "seed", -2),  # numpy refuses a negative seed only when training starts
 ])
 def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, key, value):
     _, cfg = workspace
@@ -96,7 +97,9 @@ def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, k
     assert repr(key) in err and (section is None or repr(section) in err)
 
 
-@pytest.mark.parametrize("key,value", [("n_folds", 0), ("n_folds", 1), ("max_iterations", -1)])
+@pytest.mark.parametrize("key,value", [
+    ("n_folds", 0), ("n_folds", 1), ("max_iterations", -1), ("seed", -1),
+])
 def test_bad_attack_settings_exit_1(workspace, tmp_path, capsys, key, value):
     _, cfg = workspace
     payload = json.loads(cfg.read_text())
@@ -218,6 +221,7 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
     (["bound-check", "--attrs", "gender,gender"], None),
     (["bound-check", "--attrs", ","], None),
     (["combine", "--attrs", ","], None),
+    (["dp", "--sigma", "0,0.5", "--seed", "-1"], None),
     (["rec-eval", "--embeddings", "{tmp}/missing.emb"], None),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], None),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}"], None),
@@ -229,7 +233,7 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
     pytest.param(["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/traces/t.csv"],
                  "traces-read-only", marks=_NEEDS_MODE_BITS),
 ], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
-        "combine-no-attr",
+        "combine-no-attr", "dp-negative-seed",
         "rec-eval-missing-emb", "calibrate-missing-trace-dir", "calibrate-trace-is-dir",
         "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file",
         "train-out-read-only", "calibrate-store-read-only", "calibrate-trace-dir-read-only"])

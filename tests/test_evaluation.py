@@ -259,14 +259,16 @@ class TestPooledAttack:
 
 
 class TestThreadMap:
-    def test_order_independent_of_workers(self):
+    def test_order_independent_of_workers(self, monkeypatch):
+        _fit_threads(monkeypatch, 3)
         items = list(range(23))
         square = lambda x: (x, x * x)  # noqa: E731
         assert nets.thread_map(square, items, 1) == nets.thread_map(square, items, 3)
         assert nets.thread_map(square, items, 3) == [(x, x * x) for x in items]
         assert nets.thread_map(square, [], 3) == []
 
-    def test_runs_items_at_once(self):
+    def test_runs_items_at_once(self, monkeypatch):
+        _fit_threads(monkeypatch, 3)
         # each item waits for the other two: this passes only on three live threads
         barrier = threading.Barrier(3, timeout=30)
 

@@ -53,6 +53,15 @@ class TestFitStep:
         with pytest.raises(ValueError):
             mi.fit_variational_step(model, np.empty((0, 4)), np.empty(0, dtype=int))
 
+    def test_non_finite_loss_rejected(self):
+        model = mi.make_variational_model(4, 2, seed=4)
+        x = np.random.default_rng(5).normal(size=(6, 4))
+        x[2] = np.nan
+        before = model.network.flat.copy()
+        with pytest.raises(RuntimeError, match="non-finite classifier loss"):
+            mi.fit_variational_step(model, x, np.array([0, 1] * 3))
+        assert np.array_equal(model.network.flat, before)  # no step was taken
+
 
 class TestEstimate:
     def test_constant_conditional_gives_zero(self):

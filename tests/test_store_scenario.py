@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attrunlearn import cf, data, scenario
+from attrunlearn import cf, data, nets, scenario
 from attrunlearn.calibration import CalibrationConfig
 from attrunlearn.combination import CombinationConfig
 from attrunlearn.scenario import AttackSettings, Config, ScenarioScript, dp_baseline, run_scenario
@@ -286,7 +286,8 @@ class TestRunScenario:
             assert EmbeddingStore.key(matrix, [("g", other_labels, cardinality)], "cfg")["g"] != key
         assert EmbeddingStore.key(U0.copy(), [("g", labels.astype(np.int32), 2)], "cfg")["g"] == key
 
-    def test_workers_write_identical_entries_and_releases(self, tmp_path):
+    def test_workers_write_identical_entries_and_releases(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nets, "parallel_fits", lambda: 3)  # a real pool on any host
         script = ScenarioScript([["attr0", "attr1", "attr2"], ["attr1", "attr2"]])
         written = []
         for workers in (1, 3):
