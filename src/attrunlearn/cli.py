@@ -98,8 +98,9 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def _preflight(args):
     """Every refusal the CLI makes before a model is trained, in the order below.
-    Returns (config, script, sigmas, dataset, table, entries, U, store), None where
-    the command needs none; ``combine``'s script is the one request its --attrs name."""
+    Returns (config, script, sigmas, dataset, table, entries, folds, U, store), None
+    where the command needs none; ``combine``'s script is the one request its --attrs
+    name."""
     config = Config.from_json(args.config)
     # a malformed script or sigma list fails before the data is loaded or a model trained
     script = ScenarioScript.from_json(args.script) if args.command == "scenario" else None
@@ -121,6 +122,11 @@ def _preflight(args):
         raise ValueError(f"--attrs: no attribute in {args.attrs!r}")
     if args.command == "bound-check" and len(names) < 2:
         raise ValueError(f"bound-check needs at least 2 attributes, got {names}")
+    # and a fold count the users cannot fill, for every command that runs the attack
+    attacks = args.command in ("attack", "dp") or (
+        args.command in ("combine", "scenario") and config.evaluate)
+    folds = (make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
+             if attacks else None)
     # and an embedding file or a trace directory that cannot serve
     emb_file = getattr(args, "embeddings", None)
     U = None if emb_file is None else read_embedding_file(emb_file)
@@ -142,11 +148,11 @@ def _preflight(args):
         (directory / ".preflight").unlink(missing_ok=True)  # a concurrent run may be first
     if args.command == "combine":
         script = ScenarioScript([names])
-    return config, script, sigmas, dataset, table, entries, U, store
+    return config, script, sigmas, dataset, table, entries, folds, U, store
 
 
 def _dispatch(args) -> int:
-    config, script, sigmas, dataset, table, entries, U, store = _preflight(args)
+    config, script, sigmas, dataset, table, entries, folds, U, store = _preflight(args)
     # an attack on an embedding file needs no recommender; U is the user matrix worked on
     model = None if args.command == "attack" and U is not None else ensure_model(config, dataset)
     U = model.user_embeddings if U is None else U
@@ -185,7 +191,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "attack":
-        folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         report = attack_metrics(U, table, folds, max_iterations=config.attack.max_iterations)
         _write_report(config, "attack_report.json", json.loads(report.to_json()))
         return 0
@@ -196,7 +201,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("combine", "scenario"):
-        reports = [r.to_dict() for r in run_scenario(config, script, dataset, table, model, store)]
+        reports = [r.to_dict() for r in run_scenario(config, script, dataset, table, model)]
         if args.command == "combine":
             _write_report(config, "combine_report.json", reports[0])
         else:
@@ -211,7 +216,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "dp":
-        folds = make_folds(dataset.n_users, config.attack.n_folds, config.attack.seed)
         curve = []
         for sigma in sigmas:
             noisy = dp_baseline(U, sigma, args.seed)

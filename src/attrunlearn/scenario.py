@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -37,7 +36,6 @@ from .store import EmbeddingStore, StoreError, write_embedding_file, write_json
 
 log = logging.getLogger(__name__)
 
-STORE_ENV_VAR = "ATTRUNLEARN_STORE"
 SCHEMA_VERSION = 1
 WEIGHTS_DIR = "weights"  # beside the calibrations, inside the store directory
 
@@ -89,8 +87,9 @@ _SECTIONS = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
              "combination": CombinationConfig, "attack": AttackSettings}
 
 
-# JSON values accepted for each declared field type: an int is a valid float,
-# and a bool is only a bool although Python counts it as an int
+# JSON values accepted for each declared field type: an int is a valid float
+# (read as one, so 1 and 1.0 name one cache entry), and a bool is only a bool
+# although Python counts it as an int
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
@@ -99,8 +98,9 @@ def _declared(cls) -> dict[str, str]:
 
 
 def _checked(where: str, values, declared: dict[str, str]) -> dict:
-    """``values`` if it is an object whose keys are in ``declared`` and whose
-    scalar values have the declared types (sections are checked on their own)."""
+    """``values``, with each float-declared value as a float, if it is an object
+    whose keys are in ``declared`` and whose scalar values have the declared
+    types (sections are checked on their own)."""
     if not isinstance(values, dict):
         raise ValueError(f"config {where} must be an object")
     unknown = sorted(set(values) - set(declared))
@@ -112,7 +112,8 @@ def _checked(where: str, values, declared: dict[str, str]) -> dict:
             not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "bool")
         ):
             raise ValueError(f"config key {key!r} in {where} must be {kind}, got {value!r}")
-    return values
+    return {key: float(value) if declared[key] == "float" else value
+            for key, value in values.items()}
 
 
 @dataclass
@@ -125,7 +126,7 @@ class Config:
     combination: CombinationConfig = field(default_factory=CombinationConfig)
     attack: AttackSettings = field(default_factory=AttackSettings)
     output_dir: str = "out"
-    store_dir: str = ""  # empty -> <output_dir>/store; env var overrides both
+    store_dir: str = ""  # empty -> <output_dir>/store
     workers: int = 2
     evaluate: bool = True
     rec_k: int = 10
@@ -139,11 +140,10 @@ class Config:
             raise ValueError("workers must be >= 1")
         if self.rec_k < 1:
             raise ValueError(f"config key 'rec_k' must be >= 1, got {self.rec_k!r}")
+        if not self.output_dir:
+            raise ValueError("config key 'output_dir' must not be empty")
 
     def resolved_store_dir(self) -> str:
-        env = os.environ.get(STORE_ENV_VAR)
-        if env:
-            return env
         return self.store_dir or str(Path(self.output_dir) / "store")
 
     @classmethod
@@ -156,7 +156,7 @@ class Config:
         values = {k: v for k, v in payload.items() if k != "schema_version"}
         declared = _declared(cls)
         dataset_keys = {key: declared.pop(name) for key, name in _DATASET_KEYS.items()}
-        _checked("the top level", values, declared | {"dataset": "object"})
+        values = _checked("the top level", values, declared | {"dataset": "object"})
         dataset = _checked("section 'dataset'", values.pop("dataset", {}), dataset_keys)
         for name, section_cls in _SECTIONS.items():
             if name in values:
@@ -356,7 +356,6 @@ def run_scenario(
     dataset: InteractionDataset,
     attributes: AttributeTable,
     model: CFModel,
-    store: EmbeddingStore | None = None,
 ) -> list[RunReport]:
     """Execute each request, reusing cached calibrations across requests.
 
@@ -364,12 +363,11 @@ def run_scenario(
     store entry and pulls the rest from the store, then ``combined_release``
     reads the set's combination weights from the store's ``weights/``
     directory or fits and puts them, and the release is (optionally)
-    evaluated. The reported ``unlearn_seconds`` covers calibration +
-    combination + store traffic; evaluation is timed separately. ``store``
-    defaults to the one in ``config.resolved_store_dir()``.
+    evaluated. The store is the one in ``config.resolved_store_dir()``. The
+    reported ``unlearn_seconds`` covers calibration + combination + store
+    traffic; evaluation is timed separately.
     """
-    if store is None:
-        store = EmbeddingStore(config.resolved_store_dir())
+    store = EmbeddingStore(config.resolved_store_dir())
     weights = EmbeddingStore(store.directory / WEIGHTS_DIR)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -84,6 +84,7 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     ("combination", "variational_lr", -0.5),
     ("combination", "step_size", float("inf")),
     ("cf", "seed", -2),  # numpy refuses a negative seed only when training starts
+    (None, "output_dir", ""),  # would write into the current directory
 ])
 def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, key, value):
     _, cfg = workspace
@@ -113,10 +114,15 @@ def test_bad_attack_settings_exit_1(workspace, tmp_path, capsys, key, value):
 def test_int_accepted_where_float_declared(workspace, tmp_path):
     _, cfg = workspace
     payload = json.loads(cfg.read_text())
-    payload["calibration"]["eps_ratio"] = 1
-    path = tmp_path / "int.json"
-    path.write_text(json.dumps(payload))
-    assert Config.from_json(path).calibration.eps_ratio == 1
+    loaded = []
+    for value in (1, 1.0):
+        payload["calibration"]["eps_ratio"] = value
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(payload))
+        loaded.append(Config.from_json(path).calibration)
+    assert loaded[0].eps_ratio == 1 and type(loaded[0].eps_ratio) is float
+    # so both spellings name one store entry
+    assert loaded[0].hash() == loaded[1].hash()
 
 
 def test_train_writes_checkpoint_and_report(workspace, capsys):
@@ -222,6 +228,10 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
     (["bound-check", "--attrs", ","], None),
     (["combine", "--attrs", ","], None),
     (["dp", "--sigma", "0,0.5", "--seed", "-1"], None),
+    (["attack"], "too-many-folds"),
+    (["dp", "--sigma", "0,1"], "too-many-folds"),
+    (["scenario", "--script", "{tmp}/script.json"], "too-many-folds"),
+    (["combine", "--attrs", "gender,age"], "too-many-folds"),
     (["rec-eval", "--embeddings", "{tmp}/missing.emb"], None),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], None),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}"], None),
@@ -233,7 +243,8 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
     pytest.param(["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/traces/t.csv"],
                  "traces-read-only", marks=_NEEDS_MODE_BITS),
 ], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
-        "combine-no-attr", "dp-negative-seed",
+        "combine-no-attr", "dp-negative-seed", "attack-too-many-folds",
+        "dp-too-many-folds", "scenario-too-many-folds", "combine-too-many-folds",
         "rec-eval-missing-emb", "calibrate-missing-trace-dir", "calibrate-trace-is-dir",
         "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file",
         "train-out-read-only", "calibrate-store-read-only", "calibrate-trace-dir-read-only"])
@@ -243,6 +254,11 @@ def test_unservable_request_exit_1_before_training(
     config_path = _fresh_output_config(workspace[1], tmp_path)
     if setup == "store-is-file":  # the configured store directory is a regular file
         (tmp_path / "store").write_text("")
+    if setup == "too-many-folds":  # more attack folds than the 60 users can fill
+        payload = json.loads(config_path.read_text())
+        payload["attack"]["n_folds"] = 1000
+        config_path.write_text(json.dumps(payload))
+        ScenarioScript([["gender"]]).to_json(tmp_path / "script.json")
     read_only = {f"{name}-read-only": tmp_path / name
                  for name in ("out", "store", "traces")}.get(setup)
     if read_only:

@@ -316,12 +316,13 @@ class TestRunScenario:
         assert "attack" in payload and "rec" in payload
         assert reports[0].attack is not None
 
-    def test_store_env_var_override(self, tmp_path, monkeypatch):
+    def test_config_alone_places_store(self, tmp_path, monkeypatch):
         config, dataset, table, model = make_pipeline(tmp_path)
-        override = tmp_path / "elsewhere"
-        monkeypatch.setenv(scenario.STORE_ENV_VAR, str(override))
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("ATTRUNLEARN_STORE", str(elsewhere))
         run_scenario(config, ScenarioScript([["attr0"]]), dataset, table, model)
-        assert (override / "manifest.json").exists()
+        assert (Path(config.store_dir) / "manifest.json").exists()
+        assert not elsewhere.exists()
 
 
 def _weights_store(config, model, table, names):
