@@ -29,7 +29,7 @@ import numpy as np
 
 from . import mi
 from .nets import OptimizerState, optimizer_step
-from .store import atomic_write
+from .store import atomic_write, declared_floats
 
 
 @dataclass
@@ -43,6 +43,7 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        declared_floats(self)
         # the chained comparisons are false for NaN as well
         if not 0 <= self.eps_ratio < np.inf:
             raise ValueError(f"'eps_ratio' must be finite and >= 0, got {self.eps_ratio!r}")

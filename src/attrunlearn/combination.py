@@ -16,6 +16,7 @@ import numpy as np
 
 from . import mi
 from .calibration import BallDescent, CalibrationConfig, CalibrationError, _attribute_seed
+from .store import declared_floats
 
 
 @dataclass
@@ -27,6 +28,7 @@ class CombinationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        declared_floats(self)
         if self.iterations < 0 or self.batch_size < 2:
             raise ValueError("bad combination config")
         for key in ("step_size", "variational_lr"):  # NaN fails the comparison too

@@ -253,6 +253,10 @@ def hr_ndcg_at_k(
     pairs; score ties resolve toward the smaller item id. A hit contributes
     1/log2(rank+1) to NDCG, so NDCG <= HR at the same K. Users are scored in
     blocks of about ``_RANK_BLOCK_CELLS`` scores, so memory stays flat in N.
+    The blocks run on ``nets.thread_map`` with ``nets.parallel_fits()``
+    threads, as the attack's fits do. Each block's ranks are integers computed
+    from its own rows alone and are joined in block order, so the report is
+    the serial one whatever the thread count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -265,9 +269,9 @@ def hr_ndcg_at_k(
     pairs = dataset.train_pairs[np.argsort(dataset.train_pairs[:, 0], kind="stable")]
     bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1))
     ids = np.arange(m)
-    ranks = np.zeros(n, dtype=np.int64)
     block = max(1, _RANK_BLOCK_CELLS // max(m, 1))
-    for lo in range(0, n, block):
+
+    def rank_block(lo: int) -> np.ndarray:
         hi = min(lo + block, n)
         scores = user_embeddings[lo:hi] @ item_embeddings.T
         rows = pairs[bounds[lo] : bounds[hi]]
@@ -275,7 +279,10 @@ def hr_ndcg_at_k(
         t = test[lo:hi]
         target = scores[np.arange(hi - lo), np.maximum(t, 0)][:, None]
         ahead = (scores > target) | ((scores == target) & (ids < t[:, None]))
-        ranks[lo:hi] = 1 + ahead.sum(axis=1)
+        return 1 + ahead.sum(axis=1)
+
+    blocks = nets.thread_map(rank_block, range(0, n, block), nets.parallel_fits())
+    ranks = np.concatenate([np.zeros(0, np.int64), *blocks])  # in block order, so in user order
     ranked = test >= 0
     hit = ranked & (ranks <= k)
     gains = np.where(hit, 1.0 / np.log2(ranks + 1.0), 0.0)

@@ -18,10 +18,10 @@ gradients out the same way in ``bundle.flat``, so one Adam step over
 is elementwise.
 
 :func:`thread_map` is the package's one parallel mechanism: independent,
-seeded fits (calibrations, attacker folds) run on a thread pool and come back
-in submission order, so their results do not depend on the thread count. It
-alone decides whether they run at once: serially while BLAS may take every
-core (see :func:`parallel_fits`).
+deterministic work items (calibrations, attacker folds, the ranking audit's
+user blocks) run on a thread pool and come back in submission order, so their
+results do not depend on the thread count. It alone decides whether they run
+at once: serially while BLAS may take every core (see :func:`parallel_fits`).
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def thread_map(fn: Callable, items: Iterable, workers: int) -> list:
 
     It is a plain ``map`` in the calling thread with one worker, one item, or
     ``parallel_fits() == 1`` (one usable core, or BLAS free to start a thread
-    per core): the package's one rule for when fits may share the cores.
+    per core): the package's one rule for when matmul-bound work (fits,
+    ranking blocks) may share the cores.
     Otherwise it runs on ``min(workers, len(items))`` threads, not capped at
     ``parallel_fits()``: threads beyond the cores cost nothing measurable, as
     three calibrations of 60,000 rows took 0.80, 0.54 and 0.53 s (medians of

@@ -88,8 +88,8 @@ _SECTIONS = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
 
 
 # JSON values accepted for each declared field type: an int is a valid float
-# (read as one, so 1 and 1.0 name one cache entry), and a bool is only a bool
-# although Python counts it as an int
+# (the section's dataclass stores it as one, so 1 and 1.0 name one cache
+# entry), and a bool is only a bool although Python counts it as an int
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
@@ -98,9 +98,8 @@ def _declared(cls) -> dict[str, str]:
 
 
 def _checked(where: str, values, declared: dict[str, str]) -> dict:
-    """``values``, with each float-declared value as a float, if it is an object
-    whose keys are in ``declared`` and whose scalar values have the declared
-    types (sections are checked on their own)."""
+    """``values``, if it is an object whose keys are in ``declared`` and whose
+    scalar values have the declared types (sections are checked on their own)."""
     if not isinstance(values, dict):
         raise ValueError(f"config {where} must be an object")
     unknown = sorted(set(values) - set(declared))
@@ -112,8 +111,7 @@ def _checked(where: str, values, declared: dict[str, str]) -> dict:
             not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "bool")
         ):
             raise ValueError(f"config key {key!r} in {where} must be {kind}, got {value!r}")
-    return {key: float(value) if declared[key] == "float" else value
-            for key, value in values.items()}
+    return values
 
 
 @dataclass

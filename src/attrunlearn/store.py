@@ -10,9 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
 import struct
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,17 @@ log = logging.getLogger(__name__)
 
 EMBEDDING_MAGIC = b"LEGOEMB1"
 MANIFEST_NAME = "manifest.json"
+
+
+def declared_floats(config) -> None:
+    """Store each real number in a field of the dataclass ``config`` declared
+    ``float`` as a float, so a config written with 1 or 1.0 hashes alike and
+    names the same store entries. Other values, bools among them, are left
+    for the config's own checks."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and isinstance(value, numbers.Real) and not isinstance(value, bool):
+            setattr(config, f.name, float(value))
 
 
 class StoreError(ValueError):

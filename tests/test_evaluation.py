@@ -394,3 +394,49 @@ class TestHrNdcg:
             gains += 1.0 / np.log2(rank + 1) if rank <= 5 else 0.0
         assert rep.hr == hits / 50
         assert rep.ndcg == pytest.approx(gains / 50, abs=1e-12)
+
+
+class TestPooledRanking:
+    """Ranking blocks on ``nets.thread_map`` against the per-user ``top_k`` oracle."""
+
+    def test_report_independent_of_threads_and_equal_to_oracle(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        n, m, k = 23, 12, 4
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_CELLS", 4 * m)  # blocks of 4 users, the last of 3
+        U = rng.integers(-2, 3, size=(n, 3)).astype(float)  # small integers: many tied scores
+        V = rng.integers(-2, 3, size=(m, 3)).astype(float)
+        test = rng.integers(0, m, size=n)
+        test[5] = -1  # no test item: skipped
+        # each of these users' three best-scored other items are train items, so
+        # masking moves their ranks; they sit on both sides of the 3|4 and 7|8 boundaries
+        train = {u: set(top_k((U, V), u, 4, exclusions={test[u]}).tolist()[:3])
+                 for u in (0, 3, 4, 7, 8, 13, 21, 22)}
+        pairs = np.array([(u, i) for u, items in train.items() for i in sorted(items)], dtype=np.int64)
+        dataset = data.InteractionDataset(
+            n_users=n, n_items=m, train_pairs=pairs[rng.permutation(len(pairs))],
+            test_items=test, user_ids=np.arange(n), item_ids=np.arange(m))
+
+        starts = []
+        thread_map = nets.thread_map
+
+        def recording(fn, items, workers):
+            starts.append(list(items))
+            return thread_map(fn, starts[-1], workers)
+
+        monkeypatch.setattr(nets, "thread_map", recording)
+        reports = []
+        for threads in (1, 3):
+            _fit_threads(monkeypatch, threads)
+            reports.append(hr_ndcg_at_k(U, V, dataset, k=k))
+        assert starts == [[0, 4, 8, 12, 16, 20]] * 2
+        assert reports[0] == reports[1]
+
+        hits, gains = 0, 0.0
+        for u in np.flatnonzero(test >= 0):
+            excluded = train.get(u, set())
+            ranked = top_k((U, V), u, m - len(excluded), exclusions=excluded).tolist()
+            rank = ranked.index(int(test[u])) + 1
+            hits += rank <= k
+            gains += 1.0 / np.log2(rank + 1) if rank <= k else 0.0
+        assert reports[1].hr == hits / (n - 1)
+        assert reports[1].ndcg == pytest.approx(gains / (n - 1), abs=1e-12)

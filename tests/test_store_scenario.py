@@ -423,6 +423,29 @@ class TestScriptAndConfig:
         assert again.workers == 3
         assert again.calibration.hash() == config.calibration.hash()
 
+    def test_int_in_float_field_stored_as_float(self):
+        assert CalibrationConfig(eps_ratio=1).hash() == CalibrationConfig(eps_ratio=1.0).hash()
+        assert scenario.weights_key(["k"], CombinationConfig(step_size=1)) == scenario.weights_key(
+            ["k"], CombinationConfig(step_size=1.0))
+        built = [CalibrationConfig(eps_ratio=1, step_size=np.int64(1)),
+                 CombinationConfig(step_size=1, variational_lr=1), cf.CFTrainConfig(learning_rate=1)]
+        for config in built:
+            for f in dataclasses.fields(config):
+                assert (type(getattr(config, f.name)) is float) == (f.type == "float"), f.name
+
+    def test_config_hashes_keep_their_values(self, tmp_path):
+        # pinned: store entries and weights written by earlier versions must still hit
+        assert CalibrationConfig().hash() == "895c6552a5bdd182"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "dataset": {"ratings_path": "r", "users_path": "u"},
+            "calibration": {"eps_ratio": 1, "step_size": 1, "variational_lr": 0.01, "iterations": 40},
+            "combination": {"step_size": 1, "variational_lr": 1}}))
+        config = Config.from_json(path)
+        assert config.calibration.hash() == "6a214bab7145220d"
+        assert scenario.weights_key(["a"], config.combination) == (
+            "e96a5a36014181c38e947bc2a0a3081f1241bea8dc8c8e9ed0148b3a8d95856c")
+
     def test_config_schema_version_checked(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"schema_version": 99}))
