@@ -29,7 +29,7 @@ import numpy as np
 
 from . import mi
 from .nets import OptimizerState, optimizer_step
-from .store import atomic_write, declared_floats
+from .store import atomic_write, checked_fields
 
 
 @dataclass
@@ -43,15 +43,8 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        declared_floats(self)
-        # the chained comparisons are false for NaN as well
-        if not 0 <= self.eps_ratio < np.inf:
-            raise ValueError(f"'eps_ratio' must be finite and >= 0, got {self.eps_ratio!r}")
-        for key in ("step_size", "variational_lr"):
-            if not 0 < getattr(self, key) < np.inf:
-                raise ValueError(f"{key!r} must be finite and > 0, got {getattr(self, key)!r}")
-        if self.iterations < 0 or self.batch_size < 2 or self.inner_steps < 1:
-            raise ValueError("bad iterations/batch_size/inner_steps")
+        checked_fields(self, {"eps_ratio": 0, "iterations": 0, "batch_size": 2, "inner_steps": 1},
+                       positive=("step_size", "variational_lr"))
 
     def hash(self) -> str:
         """First 16 hex digits of SHA-256 over the fields as sorted-key JSON;

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import InteractionDataset
 from .nets import OptimizerState, optimizer_step
-from .store import atomic_write, declared_floats
+from .store import atomic_write, checked_fields
 
 CHECKPOINT_MAGIC = b"LEGOCF01"
 _L2_WEIGHT = 1e-5  # BPR's L2 penalty on the embedding rows of each batch
@@ -29,13 +29,8 @@ class CFTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        declared_floats(self)
-        if min(self.dim, self.epochs + 1, self.batch_size) <= 0:
-            raise ValueError("CF config values must be positive (epochs may be 0)")
-        if not 0 < self.learning_rate < np.inf:  # NaN fails the comparison too
-            raise ValueError(f"'learning_rate' must be finite and > 0, got {self.learning_rate!r}")
-        if self.seed < 0:
-            raise ValueError(f"'seed' must be >= 0, got {self.seed!r}")
+        checked_fields(self, {"dim": 1, "epochs": 0, "batch_size": 1, "seed": 0},
+                       positive=("learning_rate",))
 
 
 @dataclass

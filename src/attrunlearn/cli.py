@@ -132,6 +132,10 @@ def _preflight(args):
     U = None if emb_file is None else read_embedding_file(emb_file)
     if U is not None and len(U) != dataset.n_users:
         raise ValueError(f"{len(U)} user embedding rows for {dataset.n_users} users")
+    if U is not None and args.command == "rec-eval" and U.shape[1] != config.cf.dim:
+        raise ValueError(f"--embeddings: {U.shape[1]} columns for a model of dim {config.cf.dim}")
+    if U is not None and not np.isfinite(U).all():
+        raise ValueError(f"--embeddings: {emb_file!r} holds non-finite values")
     trace_csv = getattr(args, "trace_csv", None)
     if trace_csv and not Path(trace_csv).parent.is_dir():
         raise ValueError(f"--trace-csv: directory {str(Path(trace_csv).parent)!r} does not exist")

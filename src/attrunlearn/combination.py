@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mi
 from .calibration import BallDescent, CalibrationConfig, CalibrationError, _attribute_seed
-from .store import declared_floats
+from .store import checked_fields
 
 
 @dataclass
@@ -28,12 +28,8 @@ class CombinationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        declared_floats(self)
-        if self.iterations < 0 or self.batch_size < 2:
-            raise ValueError("bad combination config")
-        for key in ("step_size", "variational_lr"):  # NaN fails the comparison too
-            if not 0 < getattr(self, key) < np.inf:
-                raise ValueError(f"{key!r} must be finite and > 0, got {getattr(self, key)!r}")
+        checked_fields(self, {"iterations": 0, "batch_size": 2},
+                       positive=("step_size", "variational_lr"))
 
 
 @dataclass

@@ -256,13 +256,20 @@ def hr_ndcg_at_k(
     The blocks run on ``nets.thread_map`` with ``nets.parallel_fits()``
     threads, as the attack's fits do. Each block's ranks are integers computed
     from its own rows alone and are joined in block order, so the report is
-    the serial one whatever the thread count.
+    the serial one whatever the thread count. Both matrices must be finite
+    and of one width.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m = dataset.n_users, len(item_embeddings)
     if len(user_embeddings) != n:
         raise ValueError(f"{len(user_embeddings)} user embedding rows for {n} users")
+    if user_embeddings.shape[1] != item_embeddings.shape[1]:
+        raise ValueError(f"user embeddings of width {user_embeddings.shape[1]} "
+                         f"for item embeddings of width {item_embeddings.shape[1]}")
+    # a NaN score is never ahead of another, so it would rank every test item first
+    if not (np.isfinite(user_embeddings).all() and np.isfinite(item_embeddings).all()):
+        raise ValueError("user and item embeddings must be finite")
     test = np.asarray(dataset.test_items, dtype=np.int64)
     for u in np.flatnonzero(test < 0):
         log.warning("user %d has no test item; skipped", u)

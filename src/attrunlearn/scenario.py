@@ -32,7 +32,7 @@ from .data import (
     preprocess_split,
 )
 from .evaluation import AttackReport, RecReport, attack_metrics, hr_ndcg_at_k, make_folds
-from .store import EmbeddingStore, StoreError, write_embedding_file, write_json
+from .store import EmbeddingStore, StoreError, checked_fields, write_embedding_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ class AttackSettings:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.n_folds < 2 or self.max_iterations < 0 or self.seed < 0:
-            raise ValueError("attack needs n_folds >= 2, max_iterations >= 0 and seed >= 0")
+        checked_fields(self, {"n_folds": 2, "max_iterations": 0, "seed": 0})
 
 
 @dataclass
@@ -87,30 +86,14 @@ _SECTIONS = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
              "combination": CombinationConfig, "attack": AttackSettings}
 
 
-# JSON values accepted for each declared field type: an int is a valid float
-# (the section's dataclass stores it as one, so 1 and 1.0 name one cache
-# entry), and a bool is only a bool although Python counts it as an int
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
-
-
-def _declared(cls) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls)}
-
-
-def _checked(where: str, values, declared: dict[str, str]) -> dict:
-    """``values``, if it is an object whose keys are in ``declared`` and whose
-    scalar values have the declared types (sections are checked on their own)."""
+def _checked(where: str, values, keys) -> dict:
+    """``values``, if it is an object whose keys are all in ``keys``; the values
+    are checked by the dataclass they build."""
     if not isinstance(values, dict):
         raise ValueError(f"config {where} must be an object")
-    unknown = sorted(set(values) - set(declared))
+    unknown = sorted(set(values) - set(keys))
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
-    for key, value in values.items():
-        kind = declared[key]
-        if kind in _JSON_TYPES and (
-            not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "bool")
-        ):
-            raise ValueError(f"config key {key!r} in {where} must be {kind}, got {value!r}")
     return values
 
 
@@ -129,15 +112,12 @@ class Config:
     evaluate: bool = True
     rec_k: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        checked_fields(self, {"workers": 1, "rec_k": 1})
         if self.dataset_format not in ("ml-100k", "ml-1m"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         if not self.ratings_path or not self.users_path:
             raise ValueError("ratings_path and users_path are required")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.rec_k < 1:
-            raise ValueError(f"config key 'rec_k' must be >= 1, got {self.rec_k!r}")
         if not self.output_dir:
             raise ValueError("config key 'output_dir' must not be empty")
 
@@ -152,20 +132,18 @@ class Config:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {version}")
         values = {k: v for k, v in payload.items() if k != "schema_version"}
-        declared = _declared(cls)
-        dataset_keys = {key: declared.pop(name) for key, name in _DATASET_KEYS.items()}
-        values = _checked("the top level", values, declared | {"dataset": "object"})
-        dataset = _checked("section 'dataset'", values.pop("dataset", {}), dataset_keys)
+        top = {f.name for f in fields(cls)} - set(_DATASET_KEYS.values()) | {"dataset"}
+        values = _checked("the top level", values, top)
+        dataset = _checked("section 'dataset'", values.pop("dataset", {}), _DATASET_KEYS)
         for name, section_cls in _SECTIONS.items():
             if name in values:
-                section = _checked(f"section {name!r}", values[name], _declared(section_cls))
+                section = _checked(f"section {name!r}", values[name],
+                                   {f.name for f in fields(section_cls)})
                 try:
                     values[name] = section_cls(**section)
                 except ValueError as exc:
                     raise ValueError(f"{exc} in section {name!r}") from None
-        cfg = cls(**values, **{_DATASET_KEYS[k]: v for k, v in dataset.items()})
-        cfg.validate()
-        return cfg
+        return cls(**values, **{_DATASET_KEYS[k]: v for k, v in dataset.items()})
 
     def to_json(self, path) -> None:
         payload = asdict(self)

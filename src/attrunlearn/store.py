@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import numbers
 import os
 import struct
@@ -25,15 +26,36 @@ EMBEDDING_MAGIC = b"LEGOEMB1"
 MANIFEST_NAME = "manifest.json"
 
 
-def declared_floats(config) -> None:
-    """Store each real number in a field of the dataclass ``config`` declared
-    ``float`` as a float, so a config written with 1 or 1.0 hashes alike and
-    names the same store entries. Other values, bools among them, are left
-    for the config's own checks."""
+_BOOLS = (bool, np.bool_)  # a bool is only a bool, although Python counts it as an int
+# what each declared scalar type takes, and the plain type it is stored as
+_SCALARS = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+            "str": (str, str), "bool": (_BOOLS, bool)}
+
+
+def checked_fields(config, at_least, positive=()) -> None:
+    """Check each scalar field of the dataclass ``config`` against its declared
+    type and store it as the plain type, so 1, 1.0 and ``np.int64(1)`` in a
+    float field hash alike. A float must be finite, a field in ``at_least`` at
+    least its bound there and one in ``positive`` above 0. Each refusal is a
+    ValueError naming the field; other fields (sections) are left alone."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "float" and isinstance(value, numbers.Real) and not isinstance(value, bool):
-            setattr(config, f.name, float(value))
+        if f.type not in _SCALARS:
+            continue
+        accepted, plain = _SCALARS[f.type]
+        name, value = f.name, getattr(config, f.name)
+        if not isinstance(value, accepted) or isinstance(value, _BOOLS) != (f.type == "bool"):
+            raise ValueError(f"config key {name!r} must be {f.type}, got {value!r}")
+        try:
+            value = plain(value)
+        except OverflowError:  # an int too large for a float
+            value = float("inf")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"config key {name!r} must be finite, got {value!r}")
+        if name in positive and not value > 0:
+            raise ValueError(f"config key {name!r} must be > 0, got {value!r}")
+        if name in at_least and value < at_least[name]:
+            raise ValueError(f"config key {name!r} must be >= {at_least[name]}, got {value!r}")
+        setattr(config, name, value)
 
 
 class StoreError(ValueError):

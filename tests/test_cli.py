@@ -1,13 +1,15 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _surrogate import generate_ml100k_like
-from attrunlearn import scenario
+from attrunlearn import cli, scenario
 from attrunlearn.calibration import CalibrationConfig
+from attrunlearn.cf import CFTrainConfig
 from attrunlearn.cli import cli_main
 from attrunlearn.combination import CombinationConfig
 from attrunlearn.scenario import AttackSettings, Config, ScenarioScript, load_dataset
@@ -35,6 +37,17 @@ def workspace(tmp_path_factory):
     cfg_path = root / "config.json"
     config.to_json(cfg_path)
     return root, cfg_path
+
+
+def _fresh_output_config(cfg, tmp_path) -> Path:
+    """A copy of the config at ``cfg`` that writes into ``tmp_path / "out"``
+    and keeps its store in ``tmp_path / "store"``."""
+    payload = json.loads(cfg.read_text())
+    payload["output_dir"] = str(tmp_path / "out")
+    payload["store_dir"] = str(tmp_path / "store")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    return config_path
 
 
 def test_bad_flags_exit_2(capsys):
@@ -68,7 +81,54 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     assert repr(key) in err and (section is None or repr(section) in err)
 
 
-@pytest.mark.parametrize("section,key,value", [
+# Every scalar config field as a JSON config spells it: its section (None for
+# the top level), its type and its bound, (">=", b) or (">", 0). Written out
+# here rather than read from the dataclasses, so that the table checks them.
+_CONFIG_FIELDS = [
+    ("cf", "dim", int, (">=", 1)),
+    ("cf", "epochs", int, (">=", 0)),
+    ("cf", "learning_rate", float, (">", 0)),
+    ("cf", "batch_size", int, (">=", 1)),
+    ("cf", "seed", int, (">=", 0)),
+    ("calibration", "eps_ratio", float, (">=", 0)),
+    ("calibration", "iterations", int, (">=", 0)),
+    ("calibration", "batch_size", int, (">=", 2)),
+    ("calibration", "step_size", float, (">", 0)),
+    ("calibration", "variational_lr", float, (">", 0)),
+    ("calibration", "inner_steps", int, (">=", 1)),
+    ("calibration", "seed", int, None),
+    ("combination", "iterations", int, (">=", 0)),
+    ("combination", "batch_size", int, (">=", 2)),
+    ("combination", "step_size", float, (">", 0)),
+    ("combination", "variational_lr", float, (">", 0)),
+    ("combination", "seed", int, None),
+    ("attack", "n_folds", int, (">=", 2)),
+    ("attack", "seed", int, (">=", 0)),
+    ("attack", "max_iterations", int, (">=", 0)),
+    (None, "output_dir", str, None),
+    (None, "store_dir", str, None),
+    (None, "workers", int, (">=", 1)),
+    (None, "evaluate", bool, None),
+    (None, "rec_k", int, (">=", 1)),
+]
+
+
+def _refused_values(kind, bound) -> list:
+    """Values of another type, non-finite floats, a fractional int and the
+    value just past ``bound``; an int is a valid float."""
+    values = [v for v in ("x", True, 1) if type(v) is not kind and (kind, type(v)) != (float, int)]
+    if kind is float:
+        values += [float("nan"), float("inf"), float("-inf")]
+    if kind is int:
+        values.append(2.5)
+    if bound == (">", 0):
+        values.append(0.0)
+    elif bound is not None:
+        values.append(bound[1] - 1 if kind is int else float(np.nextafter(bound[1], -1.0)))
+    return values
+
+
+_HAND_PICKED_ROWS = [
     ("cf", "dim", "8"),
     (None, "workers", "2"),
     ("calibration", "iterations", "5"),
@@ -85,30 +145,64 @@ def test_unknown_config_key_exit_1(workspace, tmp_path, capsys, section, key):
     ("combination", "step_size", float("inf")),
     ("cf", "seed", -2),  # numpy refuses a negative seed only when training starts
     (None, "output_dir", ""),  # would write into the current directory
-])
-def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, section, key, value):
-    _, cfg = workspace
-    payload = json.loads(cfg.read_text())
+    ("attack", "n_folds", 0), ("attack", "n_folds", 1),
+    ("attack", "max_iterations", -1), ("attack", "seed", -1),
+]
+_BAD_CONFIG_ROWS = _HAND_PICKED_ROWS + [
+    row for row in ((section, key, value) for section, key, kind, bound in _CONFIG_FIELDS
+                    for value in _refused_values(kind, bound))
+    if repr(row) not in map(repr, _HAND_PICKED_ROWS)
+]
+
+
+def _no_training(*_args, **_kwargs):
+    pytest.fail("trained or scored for a request that cannot be served")
+
+
+@pytest.mark.parametrize("section,key,value", _BAD_CONFIG_ROWS)
+def test_wrong_typed_config_value_exit_1(workspace, tmp_path, capsys, monkeypatch,
+                                         section, key, value):
+    config_path = _fresh_output_config(workspace[1], tmp_path)
+    payload = json.loads(config_path.read_text())
     (payload if section is None else payload[section])[key] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    assert cli_main(["train", "--config", str(bad)]) == 1
+    config_path.write_text(json.dumps(payload))
+    monkeypatch.setattr(scenario, "train_cf", _no_training)
+    assert cli_main(["train", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert repr(key) in err and (section is None or repr(section) in err)
+    assert not list(tmp_path.glob("out/model_*"))
 
 
-@pytest.mark.parametrize("key,value", [
-    ("n_folds", 0), ("n_folds", 1), ("max_iterations", -1), ("seed", -1),
+_SECTION_CLASSES = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
+                    "combination": CombinationConfig, "attack": AttackSettings}
+
+
+@pytest.mark.parametrize("section,key,value", _BAD_CONFIG_ROWS + [
+    # the dataset fields, by their names in Python; a str field takes no Path
+    (None, "dataset_format", 1), (None, "ratings_path", True), (None, "users_path", 1),
+    (None, "output_dir", Path("out")), (None, "store_dir", Path("store")),
 ])
-def test_bad_attack_settings_exit_1(workspace, tmp_path, capsys, key, value):
-    _, cfg = workspace
-    payload = json.loads(cfg.read_text())
-    payload["attack"][key] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    assert cli_main(["attack", "--config", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: attack needs")
+def test_config_built_in_python_refuses_bad_value(section, key, value):
+    if section is None:
+        def build(**kwargs):
+            return Config(**{"ratings_path": "r", "users_path": "u", **kwargs})
+    else:
+        build = _SECTION_CLASSES[section]
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        build(**{key: value})
+
+
+def test_numpy_numbers_stored_as_plain_numbers():
+    config = CalibrationConfig(iterations=np.int64(2000), eps_ratio=np.float32(0.5))
+    assert type(config.iterations) is int and type(config.eps_ratio) is float
+    assert CalibrationConfig(iterations=np.int64(2000)).hash() == CalibrationConfig().hash()
+    assert config.hash() == CalibrationConfig().hash()
+
+
+def test_int_too_large_for_a_float_refused():
+    with pytest.raises(ValueError, match="'eps_ratio' must be finite"):
+        CalibrationConfig(eps_ratio=10**400)
 
 
 def test_int_accepted_where_float_declared(workspace, tmp_path):
@@ -168,17 +262,6 @@ def test_attack_and_rec_eval(workspace):
     assert 0.0 <= rec["ndcg_at_k"] <= rec["hr_at_k"] <= 1.0
 
 
-def _fresh_output_config(cfg, tmp_path) -> Path:
-    """A copy of the config at ``cfg`` that writes into ``tmp_path / "out"``
-    and keeps its store in ``tmp_path / "store"``."""
-    payload = json.loads(cfg.read_text())
-    payload["output_dir"] = str(tmp_path / "out")
-    payload["store_dir"] = str(tmp_path / "store")
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(payload))
-    return config_path
-
-
 def test_attack_on_embeddings_file_trains_no_model(workspace, tmp_path):
     config_path = _fresh_output_config(workspace[1], tmp_path)
     dataset, _ = load_dataset(Config.from_json(config_path))
@@ -233,6 +316,9 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
     (["scenario", "--script", "{tmp}/script.json"], "too-many-folds"),
     (["combine", "--attrs", "gender,age"], "too-many-folds"),
     (["rec-eval", "--embeddings", "{tmp}/missing.emb"], None),
+    (["rec-eval", "--embeddings", "{tmp}/u.emb"], "narrow-emb"),
+    (["rec-eval", "--embeddings", "{tmp}/u.emb"], "nan-emb"),
+    (["attack", "--embeddings", "{tmp}/u.emb"], "nan-emb"),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}/missing/trace.csv"], None),
     (["calibrate", "--attr", "gender", "--trace-csv", "{tmp}"], None),
     (["calibrate", "--attr", "gender"], "store-is-file"),
@@ -245,7 +331,8 @@ _NEEDS_MODE_BITS = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mo
 ], ids=["bound-check-one-attr", "bound-check-repeated-attr", "bound-check-no-attr",
         "combine-no-attr", "dp-negative-seed", "attack-too-many-folds",
         "dp-too-many-folds", "scenario-too-many-folds", "combine-too-many-folds",
-        "rec-eval-missing-emb", "calibrate-missing-trace-dir", "calibrate-trace-is-dir",
+        "rec-eval-missing-emb", "rec-eval-narrow-emb", "rec-eval-nan-emb", "attack-nan-emb",
+        "calibrate-missing-trace-dir", "calibrate-trace-is-dir",
         "calibrate-store-is-file", "combine-store-is-file", "bound-check-store-is-file",
         "train-out-read-only", "calibrate-store-read-only", "calibrate-trace-dir-read-only"])
 def test_unservable_request_exit_1_before_training(
@@ -259,16 +346,19 @@ def test_unservable_request_exit_1_before_training(
         payload["attack"]["n_folds"] = 1000
         config_path.write_text(json.dumps(payload))
         ScenarioScript([["gender"]]).to_json(tmp_path / "script.json")
+    if setup in ("narrow-emb", "nan-emb"):  # 5 columns for a dim 8 model, or all NaN
+        n_users = load_dataset(Config.from_json(config_path))[0].n_users
+        U = np.ones((n_users, 5)) if setup == "narrow-emb" else np.full((n_users, 8), np.nan)
+        write_embedding_file(tmp_path / "u.emb", U)
     read_only = {f"{name}-read-only": tmp_path / name
                  for name in ("out", "store", "traces")}.get(setup)
     if read_only:
         read_only.mkdir()
         read_only.chmod(0o555)
 
-    def no_training(*_args, **_kwargs):
-        pytest.fail("trained a model for a request that cannot be served")
-
-    monkeypatch.setattr(scenario, "train_cf", no_training)
+    monkeypatch.setattr(scenario, "train_cf", _no_training)
+    for audit in ("attack_metrics", "hr_ndcg_at_k"):
+        monkeypatch.setattr(cli, audit, _no_training)
     args = [a.format(tmp=tmp_path) for a in args]
     try:
         assert cli_main([*args, "--config", str(config_path)]) == 1

@@ -395,6 +395,24 @@ class TestHrNdcg:
         assert rep.hr == hits / 50
         assert rep.ndcg == pytest.approx(gains / 50, abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["users", "items"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, side, bad):
+        # an all-NaN user matrix used to put every test item first: HR and NDCG 1.0
+        item_emb, dataset = ranking_fixture()
+        U = np.array([[9.0, 8.0, 7.0, 0.0, 0.0, 0.0]])
+        if side == "users":
+            U[0, 4] = bad
+        else:
+            item_emb[4, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hr_ndcg_at_k(U, item_emb, dataset, k=10)
+
+    def test_width_mismatch_rejected(self):
+        item_emb, dataset = ranking_fixture()
+        with pytest.raises(ValueError, match="width 5 .*width 6"):
+            hr_ndcg_at_k(np.ones((1, 5)), item_emb, dataset, k=10)
+
 
 class TestPooledRanking:
     """Ranking blocks on ``nets.thread_map`` against the per-user ``top_k`` oracle."""
