@@ -6,16 +6,17 @@ classifier ascent steps, then one embedding descent step on the contrastive MI
 estimate, projected onto the Frobenius epsilon-ball around U0.
 
 The descent step (:class:`BallDescent`) allocates no N x d array. Adam takes
-the batch's gradient rows in row form, ``nets.optimizer_step(..., rows=...)``:
-it decays the held moments, adds the gradient on the batch rows only and
-updates through preallocated workspaces. Rows never touched are skipped until
-half the table has been touched, which is exact: their moments and gradient
-are zero, so a dense step leaves them bitwise unchanged. Apart from the ball
-norm, the step thus costs the rows touched so far while iterations x batch
-size < N/2, and O(N x d) after that. U - U0 lives in a buffer refreshed on the
-changed rows; the ball test takes the norm of the whole buffer in row order
-(a norm over the touched rows alone sums in another order), and inside the
-ball that norm is also the step's distance. The result is bitwise the dense
+the batch's gradient rows in row form under U's one optimizer state,
+``nets.optimizer_step(opt, U, grad_rows, rows=idx)``: it decays the held
+moments, adds the gradient on the batch rows only and updates through
+preallocated workspaces. Rows never touched are skipped until half the table
+has been touched, which is exact: their moments and gradient are zero, so a
+dense step leaves them bitwise unchanged. Apart from the ball norm, the step
+thus costs the rows touched so far while iterations x batch size < N/2, and
+O(N x d) after that. U - U0 lives in a buffer refreshed on the changed rows;
+the ball test takes the norm of the whole buffer in row order (a norm over
+the touched rows alone sums in another order), and inside the ball that norm
+is also the step's distance. The result is bitwise the dense
 step on an N x d gradient followed by :func:`project_ball`.
 """
 
@@ -32,7 +33,7 @@ from .nets import OptimizerState, optimizer_step
 from .store import atomic_write, checked_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationConfig:
     eps_ratio: float = 0.5  # epsilon = eps_ratio * n_users
     iterations: int = 2000
@@ -128,8 +129,8 @@ class BallDescent:
         """One Adam step with ``grad_rows`` on the distinct rows ``idx``, then
         the projection; returns the distance of U from U0 after it."""
         U, U0, diff = self.U, self.U0, self.diff
-        optimizer_step(self.opt, [U], [grad_rows], rows=[idx])
-        changed = self.opt.held_rows(0)
+        optimizer_step(self.opt, U, grad_rows, rows=idx)
+        changed = self.opt.held_rows()
         if changed is None:
             np.subtract(U, U0, out=diff)
         else:

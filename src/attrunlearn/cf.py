@@ -20,7 +20,7 @@ CHECKPOINT_MAGIC = b"LEGOCF01"
 _L2_WEIGHT = 1e-5  # BPR's L2 penalty on the embedding rows of each batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class CFTrainConfig:
     dim: int = 32
     epochs: int = 20
@@ -111,8 +111,9 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
         raise ValueError("empty train set")
     rng = np.random.default_rng(config.seed)
     n, m, d = dataset.n_users, dataset.n_items, config.dim
-    user_emb = 0.1 * rng.standard_normal((n, d))
-    item_emb = 0.1 * rng.standard_normal((m, d))
+    # one table, user rows then item rows, stepped under one Adam state
+    table = 0.1 * rng.standard_normal((n + m, d))
+    user_emb, item_emb = table[:n], table[n:]
 
     positives = _membership_bitmap(dataset.train_pairs, n, m)
 
@@ -135,14 +136,13 @@ def train_cf(dataset: InteractionDataset, config: CFTrainConfig) -> CFModel:
             x = np.einsum("nd,nd->n", eu, du)
             coeff = -_sigmoid(-x)[:, None] / len(u)  # d(mean loss)/dx, per row
             l2 = _L2_WEIGHT / len(u)
-            user_rows, gu = _sum_rows(u, coeff * du + l2 * eu, n)
-            # the positives' rows come before the negatives'
-            item_rows, gi = _sum_rows(
-                np.concatenate([i, j]),
-                np.concatenate([coeff * eu + l2 * ei, -coeff * eu + l2 * ej]),
-                m,
+            # users, then the positives' item rows, then the negatives'
+            rows, grads = _sum_rows(
+                np.concatenate([u, n + i, n + j]),
+                np.concatenate([coeff * du + l2 * eu, coeff * eu + l2 * ei, -coeff * eu + l2 * ej]),
+                n + m,
             )
-            optimizer_step(state, [user_emb, item_emb], [gu, gi], rows=[user_rows, item_rows])
+            optimizer_step(state, table, grads, rows=rows)
         loss = pairwise_loss(user_emb, item_emb, diag_triples)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged (loss={loss}) at epoch {len(epoch_losses)}")
@@ -187,5 +187,5 @@ def load_model(path, sha256: str) -> CFModel:
     n, m, d = struct.unpack("<III", raw[len(CHECKPOINT_MAGIC) : head])
     if len(raw) != head + 8 * (n + m) * d:
         raise ValueError(f"{path}: {len(raw)} bytes for {n}+{m} rows of {d}")
-    values = np.frombuffer(raw[head:], dtype="<f8")
-    return CFModel(values[: n * d].reshape(n, d).copy(), values[n * d :].reshape(m, d).copy())
+    table = np.frombuffer(raw, dtype="<f8", offset=head).reshape(n + m, d).copy()
+    return CFModel(table[:n], table[n:])

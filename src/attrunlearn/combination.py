@@ -19,7 +19,7 @@ from .calibration import BallDescent, CalibrationConfig, CalibrationError, _attr
 from .store import checked_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinationConfig:
     iterations: int = 500
     batch_size: int = 256

@@ -154,7 +154,7 @@ def train_attacker(
         loss += _ATTACKER_L2 * penalty / (2.0 * n)
         for li, layer in enumerate(net.layers):
             bundle.param_grads[2 * li] += (_ATTACKER_L2 / n) * layer.weights  # into bundle.flat
-        nets.optimizer_step(opt, [net.flat], [bundle.flat])
+        nets.optimizer_step(opt, net.flat, bundle.flat)
         if loss < best - _ATTACKER_TOL:
             best = loss
             stale = 0

@@ -82,7 +82,7 @@ def fit_variational_step(
         return loss, logit_grads
 
     loss, bundle = nets.forward_backward(model.network, embeddings, nll_head, inputs=False)
-    nets.optimizer_step(model.optimizer, [model.network.flat], [bundle.flat])
+    nets.optimizer_step(model.optimizer, model.network.flat, bundle.flat)
     return loss
 
 

@@ -14,8 +14,11 @@ A :class:`DenseNetwork` holds all its parameters in one float64 buffer,
 ``net.flat``, and each layer's ``weights`` and ``biases`` are views of it in
 ``parameters()`` order. A :class:`GradientBundle` lays its parameter
 gradients out the same way in ``bundle.flat``, so one Adam step over
-``[net.flat]`` is bitwise the per-parameter step over ``parameters()``: Adam
-is elementwise.
+``net.flat`` is bitwise a step of each of ``parameters()`` under a state of
+its own: Adam is elementwise.
+
+:func:`optimizer_step` steps one array under one :class:`OptimizerState`,
+densely or, with ``rows``, on the rows a batch touched.
 
 :func:`thread_map` is the package's one parallel mechanism: independent,
 deterministic work items (calibrations, attacker folds, the ranking audit's
@@ -99,19 +102,6 @@ class GradientBundle:
     param_grads: list[np.ndarray]
     input_grads: np.ndarray | None = None
     flat: np.ndarray | None = None
-
-
-@dataclass
-class OptimizerState:
-    """Adam state; each parameter's moments are allocated on its first step."""
-
-    learning_rate: float = 1e-3
-    step_count: int = 0
-    moments: list["_Moments"] = field(default_factory=list)
-
-    def held_rows(self, i: int) -> np.ndarray | None:
-        """Rows of parameter ``i`` that a step may change, or None for all of them."""
-        return self.moments[i].held_rows()
 
 
 # the variables OpenBLAS, numpy's bundled BLAS, reads for its thread count, in
@@ -283,133 +273,128 @@ _ADAM_EPSILON = 1e-8
 _DENSE_SHARE = 0.5
 
 
-class _Moments:
-    """Adam moments of one parameter, plus two workspaces of the same shape.
+@dataclass
+class OptimizerState:
+    """Adam state of one array: its moments and two workspaces of their shape,
+    allocated on its first step.
 
-    A table stepped in row form first holds moments only for the rows it has
-    been given, in first-touch order (``slot`` maps a row to its position, -1
+    An array first stepped in row form holds moments only for the rows it has
+    been given, in first-touch order (``_slot`` maps a row to its position, -1
     for none). Every other row has had zero moments and a zero gradient in
     every step so far, so the dense step would have left it bitwise unchanged:
     skipping it is exact. Once ``_DENSE_SHARE`` of the rows have been touched
     the moments cover every row in place.
     """
 
-    def __init__(self, p: np.ndarray, by_rows: bool):
-        self.rows = self.slot = None
-        shape = p.shape
-        if by_rows:
-            self.slot = np.full(len(p), -1, dtype=np.int64)
-            self.rows = np.empty(int(np.ceil(_DENSE_SHARE * len(p))), dtype=np.int64)
-            self.count = 0
-            shape = (len(self.rows),) + p.shape[1:]
-        self._allocate(shape)
+    learning_rate: float = 1e-3
+    step_count: int = 0
+    m: np.ndarray | None = field(default=None, init=False, repr=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False)
+    _work: tuple = field(default=(), init=False, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _slot: np.ndarray | None = field(default=None, init=False, repr=False)
+    _count: int = field(default=0, init=False, repr=False)
 
     def _allocate(self, shape) -> None:
         self.m, self.v = np.zeros(shape), np.zeros(shape)
-        self.work = (np.empty(shape), np.empty(shape))
+        self._work = (np.empty(shape), np.empty(shape))
 
     def held_rows(self) -> np.ndarray | None:
-        return None if self.rows is None else self.rows[: self.count]
+        """Rows of the array that a step may change, or None for all of them."""
+        return None if self._rows is None else self._rows[: self._count]
 
-    def positions(self, rows: np.ndarray | None) -> np.ndarray | None:
+    def _positions(self, rows: np.ndarray | None) -> np.ndarray | None:
         """Positions of ``rows`` (None: every row) in the moment arrays,
         taking in the rows not held yet."""
-        if self.rows is None:
+        if self._rows is None:
             return rows
         if rows is not None:
-            new = rows[self.slot[rows] < 0]
-            count = self.count + len(new)
-            if count < _DENSE_SHARE * len(self.slot):
-                self.slot[new] = np.arange(self.count, count)
-                self.rows[self.count : count] = new
-                self.count = count
-                return self.slot[rows]
+            new = rows[self._slot[rows] < 0]
+            count = self._count + len(new)
+            if count < _DENSE_SHARE * len(self._slot):
+                self._slot[new] = np.arange(self._count, count)
+                self._rows[self._count : count] = new
+                self._count = count
+                return self._slot[rows]
         # the moments go dense, in row order
-        held, k = self.rows[: self.count], self.count
+        held, k = self.held_rows(), self._count
         m, v = self.m[:k], self.v[:k]
-        self._allocate((len(self.slot),) + m.shape[1:])
+        self._allocate((len(self._slot),) + m.shape[1:])
         self.m[held], self.v[held] = m, v
-        self.rows = self.slot = None
+        self._rows = self._slot = None
         return rows
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """(m, v, workspace, workspace) over the held rows."""
-        if self.rows is None:
-            return self.m, self.v, *self.work
-        k = self.count
-        return self.m[:k], self.v[:k], self.work[0][:k], self.work[1][:k]
 
 
 def optimizer_step(
     state: OptimizerState,
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    rows: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """One bias-corrected Adam step, applied to ``params`` in place.
+    param: np.ndarray,
+    grad: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> None:
+    """One bias-corrected Adam step, applied to ``param`` in place.
 
-    With ``rows`` (one array of distinct row indices per parameter), each
-    grad holds the rows ``rows[i]`` of its parameter's gradient only; every
-    other row's gradient is zero. The arithmetic is the dense step's: every
-    held moment decays, the gradient is added on the given rows, and the
-    update runs through the workspaces. Until the moments go dense (see
-    ``_Moments``) the cost grows with the rows touched so far rather than
-    the table; after that it is a whole-table step again. The result is
-    bitwise the dense step's, except where a decayed first moment off the
-    given rows has underflowed to -0.0, to which the dense step adds +0.0.
-    Rejects non-finite gradients with a diagnostic rather than poisoning the
-    moment accumulators.
+    With ``rows`` (distinct row indices), ``grad`` holds those rows of the
+    gradient only; every other row's gradient is zero. The arithmetic is the
+    dense step's: every held moment decays, the gradient is added on the given
+    rows, and the update runs through the workspaces. Until the moments go
+    dense (see :class:`OptimizerState`) the cost grows with the rows touched
+    so far rather than the array; after that it is a whole-array step again.
+    The result is bitwise the dense step's, except where a decayed first
+    moment off the given rows has underflowed to -0.0, to which the dense step
+    adds +0.0. Rejects non-finite gradients with a diagnostic rather than
+    poisoning the moment accumulators.
     """
-    if len(params) != len(grads) or (rows is not None and len(rows) != len(params)):
-        raise ValueError("params/grads/rows length mismatch")
     if rows is not None:
-        rows = [np.asarray(r, dtype=np.int64) for r in rows]
-    for i, (p, g) in enumerate(zip(params, grads)):
-        shape = p.shape if rows is None else (len(rows[i]),) + p.shape[1:]
-        if g.shape != shape:
-            raise ValueError(f"param {i}: grad shape {g.shape}, expected {shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {i}")
-        if rows is not None and not np.diff(np.sort(rows[i])).all():
-            raise ValueError(f"param {i}: repeated rows")
-    if not state.moments:
-        state.moments = [_Moments(p, rows is not None) for p in params]
+        rows = np.asarray(rows, dtype=np.int64)
+    shape = param.shape if rows is None else (len(rows),) + param.shape[1:]
+    if grad.shape != shape:
+        raise ValueError(f"grad shape {grad.shape}, expected {shape}")
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient")
+    if rows is not None and not np.diff(np.sort(rows)).all():
+        raise ValueError("repeated rows")
+    if state.m is None:  # the first step allocates, for its rows or the whole array
+        shape = param.shape
+        if rows is not None:
+            state._slot = np.full(len(param), -1, dtype=np.int64)
+            state._rows = np.empty(int(np.ceil(_DENSE_SHARE * len(param))), dtype=np.int64)
+            shape = (len(state._rows),) + param.shape[1:]
+        state._allocate(shape)
     state.step_count += 1
     t = state.step_count
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for i, (p, g, mom) in enumerate(zip(params, grads, state.moments)):
-        at = mom.positions(None if rows is None else rows[i])
-        m, v, w0, w1 = mom.arrays()
-        if at is not None and 2 * len(at) >= len(m):
-            # the rows cover at least half the moments: one scatter into a zeroed
-            # workspace, then whole-array steps beat two gathers and scatters
-            w1.fill(0.0)
-            w1[at] = g
-            g, at = w1, None
-        m *= b1
-        v *= b2
-        if at is None:
-            m += np.multiply(g, 1.0 - b1, out=w0)
-            np.multiply(g, 1.0 - b2, out=w0)
-            v += np.multiply(w0, g, out=w0)
-        else:
-            m[at] += (1.0 - b1) * g
-            v[at] += (1.0 - b2) * g * g
-        # lr * (m / bias1) / (sqrt(v / bias2) + eps), through the workspaces
-        np.divide(m, bias1, out=w0)
-        w0 *= state.learning_rate
-        np.divide(v, bias2, out=w1)
-        np.sqrt(w1, out=w1)
-        w1 += _ADAM_EPSILON
-        w0 /= w1
-        held = mom.held_rows()
-        if held is None:
-            p -= w0
-        else:
-            p[held] -= w0
-    return params
+    at = state._positions(rows)
+    held = state.held_rows()  # the moments and workspaces over the held rows
+    k = None if held is None else len(held)
+    m, v, w0, w1 = (a[:k] for a in (state.m, state.v, *state._work))
+    if at is not None and 2 * len(at) >= len(m):
+        # the rows cover at least half the moments: one scatter into a zeroed
+        # workspace, then whole-array steps beat two gathers and scatters
+        w1.fill(0.0)
+        w1[at] = grad
+        grad, at = w1, None
+    m *= b1
+    v *= b2
+    if at is None:
+        m += np.multiply(grad, 1.0 - b1, out=w0)
+        np.multiply(grad, 1.0 - b2, out=w0)
+        v += np.multiply(w0, grad, out=w0)
+    else:
+        m[at] += (1.0 - b1) * grad
+        v[at] += (1.0 - b2) * grad * grad
+    # lr * (m / bias1) / (sqrt(v / bias2) + eps), through the workspaces
+    np.divide(m, bias1, out=w0)
+    w0 *= state.learning_rate
+    np.divide(v, bias2, out=w1)
+    np.sqrt(w1, out=w1)
+    w1 += _ADAM_EPSILON
+    w0 /= w1
+    if held is None:
+        param -= w0
+    else:
+        param[held] -= w0
 
 
 def _nll_loss(net: DenseNetwork, batch: np.ndarray, labels: np.ndarray) -> float:

@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 WEIGHTS_DIR = "weights"  # beside the calibrations, inside the store directory
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackSettings:
     n_folds: int = 5
     seed: int = 11
@@ -97,7 +97,7 @@ def _checked(where: str, values, keys) -> dict:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     dataset_format: str = "ml-100k"  # or "ml-1m"
     ratings_path: str = ""

@@ -36,13 +36,16 @@ def checked_fields(config, at_least, positive=()) -> None:
     """Check each scalar field of the dataclass ``config`` against its declared
     type and store it as the plain type, so 1, 1.0 and ``np.int64(1)`` in a
     float field hash alike. A float must be finite, a field in ``at_least`` at
-    least its bound there and one in ``positive`` above 0. Each refusal is a
-    ValueError naming the field; other fields (sections) are left alone."""
+    least its bound there and one in ``positive`` above 0; a section field must
+    hold its declared dataclass. Each refusal is a ValueError naming the field.
+    The value is stored past the frozen dataclass's guard."""
     for f in fields(config):
+        name, value = f.name, getattr(config, f.name)
         if f.type not in _SCALARS:
+            if type(value).__name__ != f.type:
+                raise ValueError(f"config key {name!r} must be {f.type}, got {value!r}")
             continue
         accepted, plain = _SCALARS[f.type]
-        name, value = f.name, getattr(config, f.name)
         if not isinstance(value, accepted) or isinstance(value, _BOOLS) != (f.type == "bool"):
             raise ValueError(f"config key {name!r} must be {f.type}, got {value!r}")
         try:
@@ -55,7 +58,7 @@ def checked_fields(config, at_least, positive=()) -> None:
             raise ValueError(f"config key {name!r} must be > 0, got {value!r}")
         if name in at_least and value < at_least[name]:
             raise ValueError(f"config key {name!r} must be >= {at_least[name]}, got {value!r}")
-        setattr(config, name, value)
+        object.__setattr__(config, name, value)
 
 
 class StoreError(ValueError):

@@ -144,6 +144,10 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
     net = model.network
     U = U0.copy()
     emb_opt = nets.OptimizerState(learning_rate=config.step_size)
+    # one dense state per classifier parameter: Adam is elementwise, so this is
+    # bitwise the program's one state over ``net.flat``
+    param_opts = [nets.OptimizerState(learning_rate=config.variational_lr)
+                  for _ in net.parameters()]
     sampler = mi.BatchSampler(n, config.batch_size, rng)
     mis, nlls, dists = [], [], []
     for _ in range(config.iterations):
@@ -152,14 +156,15 @@ def reference_calibrate(U0, labels, config, attribute="attr", cardinality=None):
         for _ in range(config.inner_steps):
             nll, logit_grads = nets.log_softmax_nll(nets.forward(net, batch), y)
             grads = backward(net, batch, logit_grads).param_grads
-            nets.optimizer_step(model.optimizer, net.parameters(), grads)
+            for opt, param, grad in zip(param_opts, net.parameters(), grads):
+                nets.optimizer_step(opt, param, grad)
         estimate = mi.estimate_vclub(model, batch, y)
         logp = nets.log_softmax(nets.forward(net, batch))
         g = mi.vclub_logprob_gradient(logp.shape, y)
         logit_grads = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
         full = np.zeros_like(U)
         full[idx] = backward(net, batch, logit_grads).input_grads
-        nets.optimizer_step(emb_opt, [U], [full])
+        nets.optimizer_step(emb_opt, U, full)
         U = calibration.project_ball(U, U0, config.eps_ratio * n)
         mis.append(estimate)
         nlls.append(nll)
@@ -176,7 +181,7 @@ def reference_ball_descent(U0, eps, step_size, steps):
     for idx, grad_rows in steps:
         full = np.zeros_like(U)
         full[idx] = grad_rows
-        nets.optimizer_step(opt, [U], [full])
+        nets.optimizer_step(opt, U, full)
         U = calibration.project_ball(U, U0, eps)
         yield U, float(np.linalg.norm(U - U0))
 
@@ -185,7 +190,8 @@ def reference_train_cf(dataset, config):
     """BPR training as ``cf.train_cf`` does it, with each batch's gradients
     scattered by three ``np.add.at`` calls (users; items at the positives,
     then at the negatives) into N x d and M x d zero tables for a dense Adam
-    step. Returns (user embeddings, item embeddings, per-epoch losses)."""
+    step under one state per table. Returns (user embeddings, item
+    embeddings, per-epoch losses)."""
     rng = np.random.default_rng(config.seed)
     n, m, d = dataset.n_users, dataset.n_items, config.dim
     user_emb = 0.1 * rng.standard_normal((n, d))
@@ -195,7 +201,8 @@ def reference_train_cf(dataset, config):
     diag_pairs = dataset.train_pairs[diag_idx]
     diag_triples = np.column_stack(
         [diag_pairs, cf._sample_negatives(rng, diag_pairs[:, 0], m, positives)])
-    state = nets.OptimizerState(learning_rate=config.learning_rate)
+    user_state = nets.OptimizerState(learning_rate=config.learning_rate)
+    item_state = nets.OptimizerState(learning_rate=config.learning_rate)
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(dataset.train_pairs))
@@ -212,7 +219,8 @@ def reference_train_cf(dataset, config):
             np.add.at(gu, u, coeff * du + l2 * user_emb[u])
             np.add.at(gi, i, coeff * user_emb[u] + l2 * item_emb[i])
             np.add.at(gi, j, -coeff * user_emb[u] + l2 * item_emb[j])
-            nets.optimizer_step(state, [user_emb, item_emb], [gu, gi])
+            nets.optimizer_step(user_state, user_emb, gu)
+            nets.optimizer_step(item_state, item_emb, gi)
         losses.append(cf.pairwise_loss(user_emb, item_emb, diag_triples))
     return user_emb, item_emb, losses
 

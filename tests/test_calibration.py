@@ -87,7 +87,7 @@ class TestBallDescent:
             assert descent.step(idx, grad_rows) == distance
             assert descent.U.tobytes() == U.tobytes()
             rescaled += abs(distance - eps) <= 1e-9  # on the sphere: the ball was active
-        assert descent.opt.held_rows(0) is None
+        assert descent.opt.held_rows() is None
         assert U0.tobytes() == original
         assert rescaled == 0 if eps > 1.0 else rescaled > 20
 
@@ -97,9 +97,9 @@ class TestBallDescent:
         calls = []
         real_step, real_project = calibration.optimizer_step, calibration.project_ball
 
-        def step(state, params, grads, **kwargs):
-            calls.append(("adam", len(params), [g.shape for g in grads]))
-            return real_step(state, params, grads, **kwargs)
+        def step(state, param, grad, **kwargs):
+            calls.append(("adam", param.shape, grad.shape))
+            return real_step(state, param, grad, **kwargs)
 
         def project(*args, **kwargs):
             calls.append(("project",))
@@ -109,7 +109,7 @@ class TestBallDescent:
         monkeypatch.setattr(calibration, "project_ball", project)
         cfg = CalibrationConfig(iterations=5, batch_size=8, seed=1)
         calibration.calibrate(U0, np.arange(40) % 2, cfg)
-        assert calls == [("adam", 1, [(8, 3)]), ("project",)] * 5
+        assert calls == [("adam", (40, 3), (8, 3)), ("project",)] * 5
 
 
 class TestCalibrate:

@@ -173,3 +173,17 @@ class TestSwapInAndCheckpoint:
         loaded = cf.load_model(path, cf.save_model(model, path))
         assert loaded.user_embeddings.tobytes() == model.user_embeddings.tobytes()
         assert loaded.item_embeddings.tobytes() == model.item_embeddings.tobytes()
+
+    def test_one_table_is_the_checkpoint_payload(self, tmp_path, synthetic):
+        dataset, _ = synthetic
+        model = cf.train_cf(dataset, cf.CFTrainConfig(dim=8, epochs=1, seed=1))
+        # user rows then item rows of one (n+m) x d table, stepped as one array
+        table = model.user_embeddings.base
+        assert table is not None and model.item_embeddings.base is table
+        assert table.shape == (dataset.n_users + dataset.n_items, 8)
+        path = tmp_path / "model.cf"
+        sha = cf.save_model(model, path)
+        assert path.read_bytes()[len(cf.CHECKPOINT_MAGIC) + 12 :] == table.tobytes()
+        loaded = cf.load_model(path, sha)
+        assert loaded.item_embeddings.base is loaded.user_embeddings.base
+        assert loaded.user_embeddings.base.tobytes() == table.tobytes()

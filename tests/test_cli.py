@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -26,14 +27,11 @@ def workspace(tmp_path_factory):
         output_dir=str(root / "out"),
         store_dir=str(root / "store"),
         workers=2,
+        cf=CFTrainConfig(epochs=4, dim=8),
+        calibration=CalibrationConfig(iterations=40, batch_size=16, variational_lr=1e-2, seed=3),
+        combination=CombinationConfig(iterations=15, batch_size=16, seed=3),
+        attack=AttackSettings(n_folds=5, seed=4, max_iterations=30),
     )
-    config.cf.epochs = 4
-    config.cf.dim = 8
-    config.calibration = CalibrationConfig(
-        iterations=40, batch_size=16, variational_lr=1e-2, seed=3
-    )
-    config.combination = CombinationConfig(iterations=15, batch_size=16, seed=3)
-    config.attack = AttackSettings(n_folds=5, seed=4, max_iterations=30)
     cfg_path = root / "config.json"
     config.to_json(cfg_path)
     return root, cfg_path
@@ -182,6 +180,9 @@ _SECTION_CLASSES = {"cf": CFTrainConfig, "calibration": CalibrationConfig,
     # the dataset fields, by their names in Python; a str field takes no Path
     (None, "dataset_format", 1), (None, "ratings_path", True), (None, "users_path", 1),
     (None, "output_dir", Path("out")), (None, "store_dir", Path("store")),
+    # a section given as anything but its dataclass
+    (None, "cf", {"dim": 8}), (None, "calibration", {"iterations": 5}),
+    (None, "combination", CalibrationConfig()), (None, "attack", None),
 ])
 def test_config_built_in_python_refuses_bad_value(section, key, value):
     if section is None:
@@ -191,6 +192,23 @@ def test_config_built_in_python_refuses_bad_value(section, key, value):
         build = _SECTION_CLASSES[section]
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         build(**{key: value})
+
+
+@pytest.mark.parametrize("section", sorted(_SECTION_CLASSES) + [None])
+def test_config_fields_cannot_be_assigned(section):
+    # a field set after construction would never pass the construction check
+    config = (Config(ratings_path="r", users_path="u") if section is None
+              else _SECTION_CLASSES[section]())
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+def test_replace_checks_the_new_value():
+    config = CFTrainConfig()
+    assert dataclasses.replace(config, dim=8).dim == 8
+    with pytest.raises(ValueError, match="'dim' must be int, got 8.0"):
+        dataclasses.replace(config, dim=8.0)
 
 
 def test_numpy_numbers_stored_as_plain_numbers():

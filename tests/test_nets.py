@@ -182,7 +182,7 @@ class TestOptimizer:
     def test_zero_gradient_from_fresh_state(self):
         p = np.array([1.0, 2.0])
         state = nets.OptimizerState(learning_rate=0.1)
-        nets.optimizer_step(state, [p], [np.zeros(2)])
+        nets.optimizer_step(state, p, np.zeros(2))
         assert np.allclose(p, [1.0, 2.0])
 
     def test_constant_gradient_moves_against_sign(self):
@@ -190,13 +190,13 @@ class TestOptimizer:
         state = nets.OptimizerState(learning_rate=1e-2)
         g = np.array([1.0, -1.0, 2.0])
         for _ in range(50):
-            nets.optimizer_step(state, [p], [g.copy()])
+            nets.optimizer_step(state, p, g.copy())
         assert np.all(np.sign(p) == -np.sign(g))
 
     def test_first_step_magnitude(self):
         p = np.array([0.0])
         state = nets.OptimizerState(learning_rate=1e-3)
-        nets.optimizer_step(state, [p], [np.array([1.0])])
+        nets.optimizer_step(state, p, np.array([1.0]))
         assert p[0] == pytest.approx(-1e-3, rel=1e-6)
         assert state.step_count == 1
 
@@ -205,19 +205,20 @@ class TestOptimizer:
         flat_net = nets.init_network([6, 9, 3], seed=4)
         per_net = nets.init_network([6, 9, 3], seed=4)
         flat_state = nets.OptimizerState(learning_rate=1e-2)
-        per_state = nets.OptimizerState(learning_rate=1e-2)
+        per_states = [nets.OptimizerState(learning_rate=1e-2) for _ in per_net.parameters()]
         for _ in range(50):
             batch = rng.standard_normal((8, 6))
             bundle = backprop(flat_net, batch, rng.standard_normal((8, 3)))
             per_grads = [g.copy() for g in bundle.param_grads]
-            nets.optimizer_step(flat_state, [flat_net.flat], [bundle.flat])
-            nets.optimizer_step(per_state, per_net.parameters(), per_grads)
+            nets.optimizer_step(flat_state, flat_net.flat, bundle.flat)
+            for state, param, grad in zip(per_states, per_net.parameters(), per_grads):
+                nets.optimizer_step(state, param, grad)
             assert flat_net.flat.tobytes() == per_net.flat.tobytes()
 
     def test_non_finite_gradient_rejected(self):
         state = nets.OptimizerState()
         with pytest.raises(ValueError, match="non-finite"):
-            nets.optimizer_step(state, [np.zeros(2)], [np.array([np.nan, 0.0])])
+            nets.optimizer_step(state, np.zeros(2), np.array([np.nan, 0.0]))
 
 
 class TestRowForm:
@@ -225,51 +226,47 @@ class TestRowForm:
 
     @staticmethod
     def run_both(rng, shapes, batches, steps):
-        """Step dense and row-form copies of random tables side by side, with
-        row 0 of every sampled gradient exactly zero; checks them bitwise
-        after every step and returns the row-form state."""
+        """Step dense and row-form copies of random tables side by side, one
+        state per table, with row 0 of every sampled gradient exactly zero;
+        checks them bitwise after every step and returns the row-form states."""
         dense_params = [rng.standard_normal(shape) for shape in shapes]
         row_params = [p.copy() for p in dense_params]
-        dense = nets.OptimizerState(learning_rate=1e-2)
-        by_rows = nets.OptimizerState(learning_rate=1e-2)
+        dense = [nets.OptimizerState(learning_rate=1e-2) for _ in shapes]
+        by_rows = [nets.OptimizerState(learning_rate=1e-2) for _ in shapes]
         for _ in range(steps):
-            rows, grads, fulls = [], [], []
-            for p, b in zip(dense_params, batches):
+            for p, q, b, dense_state, row_state in zip(
+                    dense_params, row_params, batches, dense, by_rows):
                 idx = rng.choice(len(p), size=b, replace=False)
                 g = rng.standard_normal((b,) + p.shape[1:])
                 g[0] = 0.0
                 full = np.zeros_like(p)
                 full[idx] = g
-                rows.append(idx)
-                grads.append(g)
-                fulls.append(full)
-            nets.optimizer_step(dense, dense_params, fulls)
-            nets.optimizer_step(by_rows, row_params, grads, rows=rows)
-            for want, got in zip(dense_params, row_params):
-                assert got.tobytes() == want.tobytes()
+                nets.optimizer_step(dense_state, p, full)
+                nets.optimizer_step(row_state, q, g, rows=idx)
+                assert q.tobytes() == p.tobytes()
         return by_rows
 
     def test_mostly_untouched_table(self):
-        state = self.run_both(np.random.default_rng(0), [(2000, 4)], [16], steps=40)
-        held = state.held_rows(0)
+        (state,) = self.run_both(np.random.default_rng(0), [(2000, 4)], [16], steps=40)
+        held = state.held_rows()
         assert held is not None and len(held) < 1000  # never went dense
 
     def test_crosses_half_table_switch(self):
         shapes, batches = [(60, 3), (25, 2)], [7, 5]
         # one step touches fewer than half of each table's rows ...
-        state = self.run_both(np.random.default_rng(1), shapes, batches, steps=1)
-        assert [len(state.held_rows(i)) for i in (0, 1)] == batches
+        states = self.run_both(np.random.default_rng(1), shapes, batches, steps=1)
+        assert [len(state.held_rows()) for state in states] == batches
         # ... and thirty touch more, so the run goes dense part way through
-        state = self.run_both(np.random.default_rng(1), shapes, batches, steps=30)
-        assert state.held_rows(0) is None and state.held_rows(1) is None
+        states = self.run_both(np.random.default_rng(1), shapes, batches, steps=30)
+        assert all(state.held_rows() is None for state in states)
 
     def test_sampled_zero_gradient_row_unchanged(self):
         p = np.random.default_rng(2).standard_normal((10, 3))
         before = p.copy()
         state = nets.OptimizerState(learning_rate=0.1)
-        nets.optimizer_step(state, [p], [np.zeros((2, 3))], rows=[np.array([4, 7])])
+        nets.optimizer_step(state, p, np.zeros((2, 3)), rows=np.array([4, 7]))
         assert p.tobytes() == before.tobytes()
-        assert state.held_rows(0).tolist() == [4, 7]
+        assert state.held_rows().tolist() == [4, 7]
 
     def test_dense_step_after_row_steps(self):
         rng = np.random.default_rng(3)
@@ -281,21 +278,19 @@ class TestRowForm:
             g = rng.standard_normal((4, 2))
             full = np.zeros_like(p)
             full[idx] = g
-            nets.optimizer_step(dense, [p], [full])
-            nets.optimizer_step(by_rows, [q], [g], rows=[idx])
+            nets.optimizer_step(dense, p, full)
+            nets.optimizer_step(by_rows, q, g, rows=idx)
         g = rng.standard_normal((50, 2))
-        nets.optimizer_step(dense, [p], [g])
-        nets.optimizer_step(by_rows, [q], [g])
+        nets.optimizer_step(dense, p, g)
+        nets.optimizer_step(by_rows, q, g)
         assert q.tobytes() == p.tobytes()
 
     def test_bad_rows_rejected(self):
         state = nets.OptimizerState()
         with pytest.raises(ValueError, match="repeated rows"):
-            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((2, 2))], rows=[[3, 3]])
+            nets.optimizer_step(state, np.zeros((5, 2)), np.ones((2, 2)), rows=[3, 3])
         with pytest.raises(ValueError, match="grad shape"):
-            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((3, 2))], rows=[[0, 1]])
-        with pytest.raises(ValueError, match="mismatch"):
-            nets.optimizer_step(state, [np.zeros((5, 2))], [np.ones((1, 2))], rows=[])
+            nets.optimizer_step(state, np.zeros((5, 2)), np.ones((3, 2)), rows=[0, 1])
 
 
 class TestGradientCheck:

@@ -456,14 +456,14 @@ class TestScriptAndConfig:
 class TestEnsureModel:
     def test_checkpoint_reused_only_for_the_same_training_config(self, tmp_path):
         dataset, _ = data.synthetic_dataset(40, 30, d_signal=2, seed=7)
-        config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path))
-        config.cf = cf.CFTrainConfig(dim=4, epochs=1, batch_size=64, seed=2)
+        config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path),
+                        cf=cf.CFTrainConfig(dim=4, epochs=1, batch_size=64, seed=2))
         first = scenario.ensure_model(config, dataset)
         assert first.train_diagnostics is not None
         again = scenario.ensure_model(config, dataset)
         assert again.train_diagnostics is None  # loaded from the checkpoint
         assert again.user_embeddings.tobytes() == first.user_embeddings.tobytes()
-        config.cf.epochs = 2
+        config = dataclasses.replace(config, cf=dataclasses.replace(config.cf, epochs=2))
         second = scenario.ensure_model(config, dataset)
         assert second.train_diagnostics is not None
         assert not np.array_equal(second.user_embeddings, first.user_embeddings)
@@ -476,8 +476,8 @@ class TestEnsureModel:
     ], ids=["truncated", "trailing-bytes", "cut-header", "flipped-byte"])
     def test_damaged_checkpoint_is_retrained(self, tmp_path, caplog, damage):
         dataset, _ = data.synthetic_dataset(40, 30, d_signal=2, seed=7)
-        config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path))
-        config.cf = cf.CFTrainConfig(dim=4, epochs=1, batch_size=64, seed=2)
+        config = Config(ratings_path="unused", users_path="unused", output_dir=str(tmp_path),
+                        cf=cf.CFTrainConfig(dim=4, epochs=1, batch_size=64, seed=2))
         first = scenario.ensure_model(config, dataset)
         (ckpt,) = tmp_path.glob("model_*.cf")
         blob = ckpt.read_bytes()
